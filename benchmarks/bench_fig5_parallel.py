@@ -90,7 +90,7 @@ def run_experiment() -> ExperimentTable:
         )
         for workers in usable:
             with ExecutionContext(
-                workers=workers, solve_pool=shared.solve_pool()
+                workers=workers, pool=shared.solve_pool()
             ) as context:
                 mode = "solve" if workers > 1 else "serial"
                 started = time.perf_counter()
@@ -121,7 +121,7 @@ def run_experiment() -> ExperimentTable:
             pool.fault_plan = FaultPlan(kills=[(0, NEXT_RPC)])
             try:
                 with ExecutionContext(
-                    workers=max(usable), solve_pool=pool
+                    workers=max(usable), pool=pool
                 ) as context:
                     started = time.perf_counter()
                     recovered = context.solve(

@@ -108,7 +108,7 @@ class CBAS(ContextSolver):
         pins the stage strategy for every solve, bypassing the context.
     context:
         The :class:`~repro.runtime.context.ExecutionContext` this solver
-        executes through (engine, stage-executor routing, worker pools).
+        executes through (engine, stage-executor routing, worker pool).
         Without one the solver gets a private serial context — the
         historical in-process behaviour, bit for bit.
     """

@@ -1,66 +1,65 @@
-"""Solve-level multi-worker execution with resident graph payloads.
+"""The resident worker pool: one set of processes for every parallel mode.
 
-This module is the *solve-level* of the two parallel modes (see
-:mod:`repro.parallel` for the split and :mod:`repro.runtime.router` for
-which one a request should use): whole solves run inside worker
-processes — either one request per worker chunk
-(:meth:`~repro.runtime.context.ExecutionContext.solve_many`'s
-multiplexer) or one budget slice per worker with the best result winning
-(:func:`parallel_solve` / :class:`ParallelSolver`).  CPython threads
-cannot exploit the paper's OpenMP parallelism (GIL), so workers are
-processes.
+CPython threads cannot exploit the paper's OpenMP parallelism (GIL), so
+the repo parallelises with W long-lived worker *processes* — one
+:class:`WorkerPool`, the process analogue of the paper's single OpenMP
+team (Fig. 5(d)).  Three clients share it:
 
-The statistical fine print of the best-of split: each worker re-derives
-its own OCBA allocation — and, for CBAS-ND, refits its own cross-entropy
-vectors — from only its ``T/W`` slice of the evidence.  That weakens the
-CE fit relative to one solve with the full budget, and it cannot
-accelerate a *single* large solve.  Both limitations are what the
-stage-level mode (:mod:`repro.parallel.stage_pool`) exists for; the
-solve level remains the right tool for portfolio-style throughput and
-for multiplexing many independent requests.
+* ``ExecutionContext.solve_many``'s multiplexer ships whole-solve
+  chunks (:meth:`WorkerPool.ship` / :meth:`WorkerPool.collect`), each
+  request a full-strength serial solve inside one worker;
+* :func:`parallel_solve` splits one budget ``T`` into ``W`` best-of
+  slices on the same chunk path — portfolio throughput, but each worker
+  refits its CE vectors from only ``T/W`` of the evidence;
+* :class:`~repro.parallel.stage_pool.ShardedStageExecutor` shards the
+  draws *inside* every CBAS / CBAS-ND stage (:meth:`WorkerPool.
+  ensure_resident`, :meth:`WorkerPool.start_solve`, :meth:`WorkerPool.
+  run_stage`), so every Eq. (4) refit sees the full merged elite set.
 
-Worker payloads follow the residency protocol of
-:mod:`repro.parallel.residency`: a :class:`ResidentSolvePool` keeps W
-long-lived worker processes whose caches hold detached
-:class:`~repro.graph.compiled.CompiledGraph` arrays keyed by
-:attr:`~repro.graph.compiled.CompiledGraph.payload_token`.  A serving
-session therefore pickles each frozen graph **at most once per (graph,
-worker) pair** — every later chunk, batch, or re-plan on that graph
-ships only the O(1) :meth:`~repro.core.problem.WASOProblem.
-payload_spec` plus per-request seeds and budgets.  Only solvers
-explicitly configured with ``engine="reference"`` (or without an engine
-knob at all) fall back to pickling the full dict graph per request —
-the dict path has no resident representation.
-
-A plain ``concurrent.futures`` executor is still accepted by
-``parallel_solve(pool=...)`` for callers that manage their own
-processes; it gets the pre-residency protocol (detached graph pickled
-per task).
+Every worker runs one loop (:func:`_worker_main`) holding one
+:class:`~repro.parallel.residency.ResidentGraphStore` and the current
+stage-sharded solve's state.  The parent mirrors each worker's store with
+one :class:`~repro.parallel.residency.ResidencyLedger`, so a graph a
+batch made resident is already resident for a stage-sharded solve: a
+serving session pickles each frozen graph **at most once per (graph,
+worker) pair**, and later chunks, stages and re-plans ship only the O(1)
+:meth:`~repro.core.problem.WASOProblem.payload_spec` plus seeds and
+budgets.  Only solvers configured with ``engine="reference"`` (or without
+an engine knob) ship the dict problem per request — the dict path has no
+resident representation.
 """
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
 import pickle
 import random
 import time
 import traceback
 from typing import Optional
 
-from repro.algorithms.base import RngLike, SolveResult, Solver, SolveStats, coerce_rng
-from repro.algorithms.cbas_nd import CBASND
+from repro.algorithms.base import RngLike, SolveResult, SolveStats, coerce_rng
+from repro.algorithms.sampling import (
+    ExpansionSampler,
+    seed_for_start,
+    summarize_shard,
+)
+from repro.ce.probability import SelectionProbabilities
 from repro.core.problem import WASOProblem, problem_from_payload_spec
-from repro.graph.compiled import CompiledGraph
+from repro.core.solution import GroupSolution
+from repro.core.willingness import FastWillingnessEvaluator
 from repro.exceptions import (
     DeadlineExpiredError,
     RequestFailure,
     WorkerCrashError,
 )
+from repro.graph.compiled import CompiledGraph
 from repro.parallel.residency import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_RESIDENT_GRAPHS,
     ResidencyLedger,
     ResidentGraphStore,
-    WorkerPoolBase,
     apply_graph_patch,
     plan_graph_message,
     record_recovery,
@@ -68,27 +67,11 @@ from repro.parallel.residency import (
 )
 
 __all__ = [
-    "ParallelSolver",
-    "ResidentSolvePool",
+    "WorkerPool",
     "parallel_solve",
     "split_budget",
     "worker_payload_bytes",
 ]
-
-def _worker(args) -> tuple[frozenset, float, int, int]:
-    """Run one budget share in a worker process (module-level: picklable).
-
-    This is the legacy executor-pool task — kept for callers that pass a
-    plain ``concurrent.futures`` pool to :func:`parallel_solve`.
-    """
-    problem, solver, seed = args
-    result = solver.solve(problem, rng=seed)
-    return (
-        result.solution.members,
-        result.solution.willingness,
-        result.stats.samples_drawn,
-        result.stats.failed_samples,
-    )
 
 
 def split_budget(total_budget: int, workers: int) -> list[int]:
@@ -107,15 +90,13 @@ def worker_payload_bytes(problem: WASOProblem) -> dict:
     """Pickled payload sizes: slim compiled arrays vs the dict graph.
 
     ``compiled_arrays_bytes`` measures the detached flat-array payload —
-    what the resident pools install into a worker exactly once per
-    session; ``dict_graph_bytes`` measures the problem over the plain
-    dict-backed graph (compiled cache excluded), i.e. the historical
-    payload.  An already array-backed (detached) problem *is* the slim
-    payload, so it reports its own pickled size with
-    ``dict_graph_bytes=None`` — there is no dict graph left to measure
-    (this is exactly the shape the resident pools account for, so
-    raising here would break payload accounting on the resident path).
-    Benchmarks gate on the slim number only.
+    what the pool installs into a worker exactly once per session;
+    ``dict_graph_bytes`` measures the problem over the plain dict-backed
+    graph (compiled cache excluded), i.e. the historical payload.  An
+    already array-backed (detached) problem *is* the slim payload, so it
+    reports its own pickled size with ``dict_graph_bytes=None`` — there
+    is no dict graph left to measure.  Benchmarks gate on the slim
+    number only.
     """
     graph = problem.graph
     if not hasattr(graph, "_compiled_cache"):
@@ -133,15 +114,124 @@ def worker_payload_bytes(problem: WASOProblem) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Worker side of the resident solve pool
+# Worker side
 # ----------------------------------------------------------------------
+def _apply_patch(vector: SelectionProbabilities, patch: tuple) -> None:
+    """Replay one parent-side vector change on a worker mirror."""
+    kind = patch[0]
+    if kind == "round":
+        vector.apply_round(patch[1], patch[2])
+    elif kind == "full":
+        vector.restore(patch[1])
+    else:  # pragma: no cover - protocol guard
+        raise ValueError(f"unknown vector patch kind {kind!r}")
+
+
+class _WorkerSolveState:
+    """One stage-sharded solve's worker-resident execution state.
+
+    Rebuilt per solve from the resident compiled arrays plus the small
+    solve spec: the problem, the shared sampler (whose per-seed cache
+    amortizes across all stages of the solve), and — for CBAS-ND — one
+    mirror probability vector per start node, kept in sync with the
+    parent by replaying refit patches.
+    """
+
+    def __init__(self, compiled, spec: dict) -> None:
+        self.solve_id = spec["solve_id"]
+        problem = problem_from_payload_spec(compiled, spec["problem"])
+        self.engine = spec.get("engine", "compiled")
+        if self.engine == "vector":
+            from repro.vector import VectorWillingnessEvaluator
+
+            evaluator = VectorWillingnessEvaluator(compiled)
+        else:
+            evaluator = FastWillingnessEvaluator(compiled)
+        self.sampler = ExpansionSampler(problem, evaluator)
+        if self.engine == "vector":
+            # Shared solve-level Philox base key: every shard's uniforms
+            # are a pure function of (key, start, planned draw ordinal),
+            # not of which worker draws them.
+            self.sampler.vector_key = spec["vector_key"]
+        self.seeds = [seed_for_start(problem, start) for start in spec["starts"]]
+        self.mode = spec["mode"]
+        self.max_failures = spec["max_failures"]
+        self.vectors: "list[SelectionProbabilities] | None" = None
+        if self.mode == "ce":
+            # Bit-identical to the parent's cold vectors: same candidate
+            # order (compiled node order minus forbidden), same k, same
+            # rebuilt index_of.  Warm vectors ship their arrays.
+            template = SelectionProbabilities(
+                problem.candidates(),
+                problem.k,
+                index_of=compiled.index_of,
+                size=compiled.number_of_nodes,
+                backend="numpy" if self.engine == "vector" else "list",
+            )
+            vectors = []
+            for initial in spec["vectors"]:
+                vector = template.replicate()
+                if initial is not None:
+                    vector.restore(initial)
+                vectors.append(vector)
+            self.vectors = vectors
+
+    def run_entry(self, entry: dict):
+        """Draw one shard and reduce it to a :class:`ShardSummary`."""
+        index = entry["start"]
+        weight_array = None
+        if self.vectors is not None:
+            vector = self.vectors[index]
+            for patch in entry["sync"]:
+                _apply_patch(vector, patch)
+            weight_array = vector.array
+        carry = entry["failures"]
+        if self.engine == "vector":
+            # Positional randomness: no per-shard RNG seed at all — the
+            # entry's planned first-draw ordinal addresses the Philox
+            # stream directly.
+            batch = self.sampler.draw_batch_vector(
+                [
+                    {
+                        "start_key": index,
+                        "seed": self.seeds[index],
+                        "first_draw": entry["first_draw"],
+                        "count": entry["count"],
+                        "failures": carry,
+                    }
+                ],
+                mode=self.mode,
+                weight_rows=(
+                    [weight_array] if self.mode == "ce" else None
+                ),
+                max_failures=self.max_failures,
+            )[0]
+        else:
+            rng = random.Random(entry["seed"])
+            batch = self.sampler.draw_batch(
+                self.seeds[index],
+                rng,
+                entry["count"],
+                weight_array=weight_array,
+                failures=carry,
+                max_failures=self.max_failures,
+            )
+        return summarize_shard(
+            batch,
+            entry["keep_rank"],
+            max_failures=self.max_failures,
+            carry_failures=carry,
+        )
+
+
 def _run_solve_entry(store: ResidentGraphStore, entry: dict):
     """Execute one whole-solve entry; failures are captured per entry.
 
     Returns ``("ok", index, members, willingness, samples_drawn,
-    failed_samples, stages, extra)`` or ``("error", index, traceback)``
-    so one failing request never discards its chunk-mates' results
-    (the parent re-raises after the batch drains).
+    failed_samples, stages, extra, elapsed_seconds)`` — the last being
+    the solve's own wall time — or ``("error", index, traceback)``, so
+    one failing request never discards its chunk-mates' results (the
+    parent re-raises after the batch drains).
     """
     index = entry["index"]
     try:
@@ -155,23 +245,26 @@ def _run_solve_entry(store: ResidentGraphStore, entry: dict):
 
             solver = make_solver(entry["solver"], **entry["kwargs"])
         result = solver.solve(problem, rng=entry["seed"])
+        stats = result.stats
         return (
             "ok",
             index,
             result.solution.members,
             result.solution.willingness,
-            result.stats.samples_drawn,
-            result.stats.failed_samples,
-            result.stats.stages,
-            result.stats.extra,
+            stats.samples_drawn,
+            stats.failed_samples,
+            stats.stages,
+            stats.extra,
+            stats.elapsed_seconds,
         )
     except BaseException:
         return ("error", index, traceback.format_exc())
 
 
-def _solve_worker_main(conn) -> None:
-    """Worker loop: resident graph store + whole-solve chunk execution."""
+def _worker_main(conn) -> None:
+    """The worker loop: resident graphs, whole-solve chunks, stage RPCs."""
     store = ResidentGraphStore()
+    solve: "Optional[_WorkerSolveState]" = None
     while True:
         try:
             message = conn.recv()
@@ -214,8 +307,20 @@ def _solve_worker_main(conn) -> None:
                     "ok",
                     [_run_solve_entry(store, entry) for entry in entries],
                 )
+            elif kind == "solve":
+                _, spec = message
+                token = spec["problem"]["token"]
+                solve = _WorkerSolveState(store.get(token), spec)
+                reply = ("ok", solve.solve_id)
+            elif kind == "stage":
+                _, solve_id, entries = message
+                if solve is None or solve.solve_id != solve_id:
+                    raise RuntimeError(
+                        f"stage request for unknown solve {solve_id!r}"
+                    )
+                reply = ("ok", [solve.run_entry(entry) for entry in entries])
             else:
-                raise RuntimeError(f"unknown solve-pool message {kind!r}")
+                raise RuntimeError(f"unknown pool message {kind!r}")
         except BaseException:
             reply = ("error", traceback.format_exc())
         try:
@@ -228,43 +333,48 @@ def _solve_worker_main(conn) -> None:
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-class ResidentSolvePool(WorkerPoolBase):
-    """W persistent whole-solve workers with resident graph payloads.
+def _chunk_graphs(entries: "list[dict]", graphs: dict) -> dict:
+    """The resident graphs (token → detached arrays) ``entries`` use."""
+    return {
+        entry["problem"]["token"]: graphs[entry["problem"]["token"]]
+        for entry in entries
+        if isinstance(entry["problem"], dict)
+    }
 
-    The solve-level twin of :class:`~repro.parallel.stage_pool.
-    StagePool`: create it once per serving session, dispatch any number
-    of chunk batches (one in flight at a time), and :meth:`close` it
-    when done (also usable as a context manager).  Each worker caches
-    detached compiled-graph arrays keyed by payload token
-    (:mod:`repro.parallel.residency`), bounded to ``resident_graphs``
-    entries with parent-driven LRU eviction, so a session ships each
-    graph at most once per (graph, worker) pair.
 
-    Dispatch is two-phase so large stage-routed solves can run on the
-    parent while chunks are in flight: :meth:`ship` sends one worker's
-    chunk (prefixing any graph installs that worker still needs), and
-    :meth:`collect` drains every outstanding reply — several chunks per
-    worker are fine; outcomes come back in shipping order.  Per-request
-    solve failures travel inside ``"ok"`` replies.
+class WorkerPool:
+    """W persistent worker processes with resident graph payloads.
 
-    The pool is *self-healing*: a worker that dies mid-dispatch is
-    respawned (its residency ledger reset — the fresh worker holds
-    nothing), and the chunks it owed are re-dispatched, re-shipping
-    whatever graphs they reference, up to ``max_retries`` times with
-    bounded backoff.  Every entry carries its explicit seed, so a retry
-    is bit-identical to the original dispatch — crash recovery is
-    invisible in results.  An entry whose ``"deadline"`` (an absolute
-    ``time.monotonic()`` instant) passes while its dispatch is pending
-    is cancelled: the worker is killed and respawned, the expired entry
-    fails as a ``kind="deadline"`` :class:`~repro.exceptions.
-    RequestFailure`, and its live chunk-mates are retried.  Exhausted
-    retries fail the affected entries as ``kind="worker_crash"`` and
-    mark the pool ``healthy = False`` so callers can degrade to serial
-    execution.  Recovery accounting (``batch_restarts`` /
-    ``batch_retries`` / ``batch_deadline_missed``) resets with each
-    :meth:`begin_batch`.  Only *protocol*-level errors (a live worker
-    replying with a message-level error, i.e. a bug rather than a
-    crash) remain terminal: the pool closes itself and raises.
+    Create it once per serving session, run any number of chunk batches
+    and stage-sharded solves on it (one dispatch at a time), and
+    :meth:`close` it when done (also usable as a context manager).  Each
+    worker caches detached compiled-graph arrays keyed by payload token,
+    bounded to ``resident_graphs`` entries with parent-driven LRU
+    eviction (:mod:`repro.parallel.residency`); one
+    :class:`~repro.parallel.residency.ResidencyLedger` per worker mirrors
+    that cache, so every install decision is local to the parent.
+
+    Every message goes through :meth:`_send`, which queues an in-flight
+    record on the worker (an ``install``, a ``solve`` spec, a ``chunk``
+    or a ``stage`` shard); replies arrive in send order per pipe, so the
+    head record is what the next reply answers.  Waits are supervised:
+    a dead worker surfaces as a crash instead of a hung ``recv``, and a
+    chunk entry's ``"deadline"`` (an absolute ``time.monotonic()``
+    instant) bounds the wait for its reply.  Either way :meth:`_recover`
+    — the pool's one recovery path — respawns the worker and re-sends
+    what it owed, bit-identically (every dispatch carries its seeds).
+    Expired entries fail as ``kind="deadline"``; work that exhausts
+    ``max_retries`` fails as ``kind="worker_crash"`` (chunk entries) or
+    runs through the executor's ``fallback`` (stage shards), and the
+    pool goes ``healthy = False`` so callers can degrade to serial
+    execution.  Only *protocol* errors (a live worker replying with a
+    message-level error, i.e. a bug rather than a crash) are terminal:
+    the pool closes itself and raises.
+
+    ``fault_plan`` (default ``None``) is the test-only hook for
+    :class:`~repro.parallel.faults.FaultPlan`: kills before a named send,
+    reply drops and delays, keyed by ``(worker, rpc)`` where ``rpc``
+    counts the sends to that worker slot (monotone across respawns).
     """
 
     def __init__(
@@ -273,289 +383,560 @@ class ResidentSolvePool(WorkerPoolBase):
         resident_graphs: int = DEFAULT_RESIDENT_GRAPHS,
         max_retries: int = DEFAULT_MAX_RETRIES,
     ) -> None:
-        super().__init__(workers, _solve_worker_main)
+        if workers < 1:
+            raise ValueError(f"workers must be positive, got {workers}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.max_retries = max_retries
         self._ledgers = [
             ResidencyLedger(resident_graphs) for _ in range(workers)
         ]
-        #: In-flight dispatch records per worker, in send order —
-        #: replies arrive in the same order per pipe, so the head record
-        #: is what the next reply answers.  Install records are
-        #: ``{"kind": "install"}``; chunk records carry everything a
-        #: crash recovery needs to re-dispatch (entries with their
-        #: seeds, the graphs they reference, the retry count, the
-        #: earliest entry deadline).
+        self._mp = multiprocessing.get_context()
+        self._procs = []
+        self._conns = []
+        for _ in range(workers):
+            proc, conn = self._spawn_worker()
+            self._procs.append(proc)
+            self._conns.append(conn)
+        #: Sends per worker slot (the fault plans' ``rpc`` coordinate).
+        self._sends = [0] * workers
+        #: In-flight records per worker, in send order.
         self._inflight: "list[list[dict]]" = [[] for _ in range(workers)]
-        #: Chunk ids in shipping order (collect returns outcomes in it).
+        #: Replies of chunk and stage records, by record id.
+        self._results: dict = {}
         self._chunk_order: "list[int]" = []
-        self._next_chunk_id = 0
-        self._batch_bytes = 0
-        self._batch_installs = 0
-        self._batch_patch_bytes = 0
-        #: Recovery events since the last :meth:`begin_batch`.
-        self.batch_restarts = 0
-        self.batch_retries = 0
-        self.batch_deadline_missed = 0
-        #: Sticky health flag: cleared when a dispatch exhausts its
-        #: retry budget.  Callers should route around an unhealthy pool
-        #: (``ExecutionContext`` degrades the remainder to serial).
+        self._ids = itertools.count()
+        #: The current stage-sharded solve: its graph (token → detached
+        #: arrays) and spec, kept so recovery can rebuild a worker.
+        self._stage_graphs: dict = {}
+        self._spec: "Optional[dict]" = None
+        #: Pickled bytes (and sparse ``graph_patch`` bytes among them)
+        #: sent since the last :meth:`begin_batch`.
+        self.batch_payload_bytes = 0
+        self.batch_patch_bytes = 0
+        #: Wire bytes of the most recent :meth:`ensure_resident` (and
+        #: the sparse patches among them).
+        self.last_install_bytes = 0
+        self.last_patch_bytes = 0
+        #: Lifetime recovery accounting (clients snapshot deltas).
+        self.worker_restarts = 0
+        self.retries = 0
+        self.fallback_shards = 0
+        self.deadline_missed = 0
+        #: Sticky health flag: cleared when work exhausts its retries.
         self.healthy = True
+        self.fault_plan = None
+        self._closed = False
+
+    def _spawn_worker(self):
+        parent_conn, child_conn = self._mp.Pipe()
+        proc = self._mp.Process(
+            target=_worker_main, args=(child_conn,), daemon=True
+        )
+        proc.start()
+        child_conn.close()
+        return proc, parent_conn
 
     # ------------------------------------------------------------------
     @property
+    def workers(self) -> int:
+        return len(self._procs)
+
+    @property
     def installs(self) -> int:
-        """Total (graph, worker) installs performed over the session."""
+        """(graph, worker) installs over the session: the ledger sum."""
         return sum(ledger.installs for ledger in self._ledgers)
 
     def resident_tokens(self, worker: int) -> tuple:
         """Tokens resident in ``worker`` (least recently used first)."""
         return self._ledgers[worker].resident_tokens()
 
-    @property
-    def batch_payload_bytes(self) -> int:
-        """Pickled bytes shipped since the last :meth:`begin_batch`."""
-        return self._batch_bytes
-
-    @property
-    def batch_installs(self) -> int:
-        """(graph, worker) installs since the last :meth:`begin_batch`."""
-        return self._batch_installs
-
-    @property
-    def batch_patch_bytes(self) -> int:
-        """Bytes of sparse ``graph_patch`` messages this batch.
-
-        Patches upgrade stale-but-resident arrays in place; they are
-        counted in :attr:`batch_payload_bytes` (they ride the same wire)
-        but *not* in :attr:`batch_installs`.
-        """
-        return self._batch_patch_bytes
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("worker pool is closed")
 
     # ------------------------------------------------------------------
+    # Whole-solve chunks
+    # ------------------------------------------------------------------
     def begin_batch(self) -> None:
-        """Reset the per-batch shipping and recovery accounting."""
+        """Reset the per-batch byte accounting."""
         if self._chunk_order or any(self._inflight):
             raise RuntimeError(
                 "cannot begin a batch while replies are outstanding; "
                 "collect() the previous dispatch first"
             )
-        self._batch_bytes = 0
-        self._batch_installs = 0
-        self._batch_patch_bytes = 0
-        self.batch_restarts = 0
-        self.batch_retries = 0
-        self.batch_deadline_missed = 0
-
-    def _on_respawn(self, worker: int) -> None:
-        # The fresh worker's ResidentGraphStore is empty: forget every
-        # mirrored token so the next plan() re-ships what retries need.
-        self._ledgers[worker].reset()
-
-    def _send(self, worker: int, message, record: dict) -> int:
-        data = pickle.dumps(message)
-        self._send_bytes(worker, data)
-        self._batch_bytes += len(data)
-        self._inflight[worker].append(record)
-        return len(data)
-
-    def _plan_installs(
-        self, worker: int, entries: "list[dict]", graphs: dict
-    ) -> None:
-        """Ship whatever resident graphs ``entries`` need that
-        ``worker``'s ledger says it lacks (also the re-ship path after a
-        respawn, where the reset ledger answers "ship" for everything)."""
-        ledger = self._ledgers[worker]
-        # Every token this chunk references is pinned against eviction:
-        # the installs all travel ahead of the chunk, so a later install
-        # must never displace arrays an earlier entry still needs.
-        chunk_tokens = {
-            entry["problem"]["token"]
-            for entry in entries
-            if isinstance(entry["problem"], dict)
-        }
-        planned = set()
-        for entry in entries:
-            problem = entry["problem"]
-            if not isinstance(problem, dict):
-                continue
-            token = problem["token"]
-            if token in planned:
-                continue
-            planned.add(token)
-            ship, evictions = ledger.plan(token, pinned=chunk_tokens)
-            graph = graphs[token]
-            # Resolve full install vs sparse generation patch vs nothing
-            # (resident and current) through the shared protocol helper;
-            # path-installable graphs ship the manifest path (O(1) bytes
-            # at any graph size) and the worker maps the arrays itself.
-            message, kind = plan_graph_message(
-                ledger, token, graph, ship, evictions, lambda: graph
-            )
-            if message is None:
-                continue
-            sent = self._send(worker, message, {"kind": "install"})
-            if kind == "install":
-                self._batch_installs += 1
-            else:
-                self._batch_patch_bytes += sent
-
-    @staticmethod
-    def _entries_deadline(entries: "list[dict]") -> "Optional[float]":
-        deadlines = [
-            entry["deadline"]
-            for entry in entries
-            if entry.get("deadline") is not None
-        ]
-        return min(deadlines) if deadlines else None
+        self.batch_payload_bytes = 0
+        self.batch_patch_bytes = 0
 
     def ship(self, worker: int, entries: "list[dict]", graphs: dict) -> None:
         """Send one chunk of whole-solve entries to ``worker``.
 
         ``entries`` is a list of entry dicts (``index`` / ``problem`` /
         ``solver``+``kwargs`` or ``solver_obj`` / ``seed``, plus an
-        optional ``deadline`` — an absolute ``time.monotonic()``
-        instant); an entry whose ``problem`` is a payload-spec dict
-        references ``graphs[token]`` — the detached compiled arrays —
-        which are installed first *only* where the worker's ledger says
-        they are missing.  Replies are deferred: call :meth:`collect`
-        after every chunk of the batch has been shipped.
+        optional ``deadline``); an entry whose ``problem`` is a
+        payload-spec dict references ``graphs[token]`` — the detached
+        compiled arrays — which are installed first *only* where the
+        worker's ledger says they are missing or stale.  Replies are
+        deferred: call :meth:`collect` after every chunk is shipped.
         """
-        if self._closed:
-            raise RuntimeError("resident solve pool is closed")
+        self._check_open()
         entries = list(entries)
+        needed = _chunk_graphs(entries, graphs)
+        self._plan_installs([worker], needed)
         record = {
             "kind": "chunk",
-            "id": self._next_chunk_id,
+            "id": next(self._ids),
             "entries": entries,
-            "graphs": graphs,
+            "graphs": needed,
             "retries": 0,
-            "deadline": self._entries_deadline(entries),
         }
-        self._next_chunk_id += 1
-        self._plan_installs(worker, entries, graphs)
         self._send(worker, ("chunk", entries), record)
         self._chunk_order.append(record["id"])
 
     def collect(self) -> "list[list]":
-        """Drain every outstanding reply; one outcome list per chunk,
-        in shipping order (several chunks per worker parse correctly —
-        each worker's reply stream is matched against the send-order
-        records kept by :meth:`ship`).
+        """Drain every outstanding reply; one outcome list per chunk, in
+        shipping order.
 
         Per-request solve failures come back inside the outcomes as
         ``("error", index, failure)``, where ``failure`` is the
-        worker-side traceback string or — for a crash that exhausted its
-        retries or an expired deadline — a structured
-        :class:`~repro.exceptions.RequestFailure`.  A dead worker is
-        *not* terminal: it is respawned, its ledger reset, and its
-        chunks re-dispatched (see the class docstring).  Only a
-        protocol-level error reply closes the pool and raises.
+        worker-side traceback string or — for an expired deadline or a
+        crash that exhausted its retries — a structured
+        :class:`~repro.exceptions.RequestFailure`.
         """
-        results: "dict[int, list]" = {}
         for worker in range(self.workers):
-            self._drain_worker(worker, results)
+            self._drain(worker)
         order, self._chunk_order = self._chunk_order, []
-        return [results.get(chunk_id, []) for chunk_id in order]
+        return [self._results.pop(chunk_id, []) for chunk_id in order]
 
-    def _worker_deadline(self, worker: int) -> "Optional[float]":
-        deadlines = [
-            record["deadline"]
-            for record in self._inflight[worker]
-            if record["kind"] == "chunk" and record["deadline"] is not None
-        ]
-        return min(deadlines) if deadlines else None
+    # ------------------------------------------------------------------
+    # Stage-sharded solves
+    # ------------------------------------------------------------------
+    def ensure_resident(self, problem) -> bool:
+        """Make ``problem``'s frozen graph resident in every worker.
 
-    def _drain_worker(self, worker: int, results: "dict[int, list]") -> None:
-        while self._inflight[worker]:
-            record = self._inflight[worker][0]
-            try:
-                reply = self._recv(
-                    worker, deadline=self._worker_deadline(worker)
+        Returns ``True`` when full graph arrays were shipped, ``False``
+        when every worker already held this freeze — including when
+        stale copies were brought current with sparse ``graph_patch``
+        messages (``last_patch_bytes``; a patch is not an install).
+        Identical installs pickle once for all workers.
+        """
+        self._check_open()
+        compiled = problem.compiled()
+        self._stage_graphs = {compiled.payload_token: compiled.detach()}
+        # A solve boundary: a crash recovered during this install must
+        # not replay the previous solve's spec, which can name an older
+        # graph generation — start_solve ships the new one.
+        self._spec = None
+        installs = self.installs
+        self.last_install_bytes, self.last_patch_bytes = self._plan_installs(
+            range(self.workers), self._stage_graphs, stage=True
+        )
+        shipped = self.installs > installs
+        for worker in range(self.workers):
+            self._drain(worker)
+        return shipped
+
+    def start_solve(self, spec: dict) -> None:
+        """Set up per-solve worker state (problem spec, CE mirrors)."""
+        self._spec = spec
+        data = pickle.dumps(("solve", spec))
+        for worker in range(self.workers):
+            self._send(worker, data, {"kind": "solve", "retries": 0})
+        for worker in range(self.workers):
+            self._drain(worker)
+
+    def run_stage(
+        self, worker_entries: "list[list[dict]]", rebuild=None, fallback=None
+    ):
+        """Execute one stage: ``worker_entries[w]`` goes to worker ``w``.
+
+        Returns, per worker, the :class:`~repro.algorithms.sampling.
+        ShardSummary` list aligned with that worker's entries.
+        ``rebuild(worker, entries)`` refreshes a shard before it is
+        re-sent to a respawned worker (its CE mirrors restart from the
+        solve spec); ``fallback(worker, entries)`` computes a shard in
+        the parent once its retries are exhausted — without it an
+        exhausted shard is terminal.
+        """
+        if len(worker_entries) != self.workers:
+            raise ValueError(
+                f"expected entries for {self.workers} workers, "
+                f"got {len(worker_entries)}"
+            )
+        ids = []
+        for worker, entries in enumerate(worker_entries):
+            record = {
+                "kind": "stage",
+                "id": next(self._ids),
+                "entries": entries,
+                "retries": 0,
+                "rebuild": rebuild,
+                "fallback": fallback,
+            }
+            self._send(
+                worker, ("stage", self._spec["solve_id"], entries), record
+            )
+            ids.append(record["id"])
+        for worker in range(self.workers):
+            self._drain(worker)
+        return [self._results.pop(record_id) for record_id in ids]
+
+    # ------------------------------------------------------------------
+    # Wire
+    # ------------------------------------------------------------------
+    def _send(self, worker: int, message, record: dict) -> int:
+        """Send ``message`` (pickled unless already bytes) to ``worker``
+        and queue the ``record`` its reply answers; returns the size.
+
+        Never raises: a send into a dead worker's pipe leaves the same
+        observable state as a lost one — no reply will come — so the
+        crash surfaces at the next :meth:`_recv` liveness check.
+        """
+        data = message if isinstance(message, bytes) else pickle.dumps(message)
+        self._sends[worker] += 1
+        record["seq"] = self._sends[worker]
+        plan = self.fault_plan
+        if plan is not None and plan.kill_before_send(worker, record["seq"]):
+            self._procs[worker].kill()
+            self._procs[worker].join(timeout=5.0)
+        self._inflight[worker].append(record)
+        self.batch_payload_bytes += len(data)
+        try:
+            self._conns[worker].send_bytes(data)
+        except (BrokenPipeError, OSError):
+            pass
+        return len(data)
+
+    def _plan_installs(
+        self, workers, graphs: dict, retries: int = 0, stage: bool = False
+    ) -> "tuple[int, int]":
+        """Send each of ``workers`` whichever of ``graphs`` (token →
+        detached arrays) its ledger says it lacks or holds stale.
+
+        The one install planner: chunk shipping, :meth:`ensure_resident`
+        and recovery (where the reset ledger answers "ship" for
+        everything) all go through it.  Every token in ``graphs`` is
+        pinned against eviction — the installs travel ahead of the work
+        that uses them.  Returns ``(bytes sent, patch bytes among them)``.
+        """
+        pickled: dict = {}
+        sent = patched = 0
+        for worker in workers:
+            ledger = self._ledgers[worker]
+            for token, graph in graphs.items():
+                ship, evictions = ledger.plan(token, pinned=graphs)
+                # Full install vs sparse generation patch vs nothing;
+                # path-installable graphs ship the manifest path (O(1)
+                # bytes at any size) and the worker maps the arrays.
+                message, kind = plan_graph_message(
+                    ledger, token, graph, ship, evictions, lambda: graph
                 )
+                if message is None:
+                    continue
+                if kind == "install":
+                    # Identical installs (the eviction list is the only
+                    # per-worker part) share one pickle.
+                    key = (token, message[3])
+                    if key not in pickled:
+                        pickled[key] = pickle.dumps(message)
+                    data = pickled[key]
+                else:
+                    data = pickle.dumps(message)
+                size = self._send(
+                    worker,
+                    data,
+                    {"kind": "install", "stage": stage, "retries": retries},
+                )
+                sent += size
+                if kind == "patch":
+                    patched += size
+        self.batch_patch_bytes += patched
+        return sent, patched
+
+    def _recv(self, worker: int, deadline: "Optional[float]" = None):
+        """Wait for ``worker``'s next reply with liveness and deadline.
+
+        Raises :class:`~repro.exceptions.WorkerCrashError` when the
+        process is dead with no buffered reply, and
+        :class:`~repro.exceptions.DeadlineExpiredError` when
+        ``deadline`` passes first.  A reply that is already available is
+        delivered even past the deadline — only a *missing* reply
+        expires.
+        """
+        conn = self._conns[worker]
+        disposition = None
+        if self.fault_plan is not None:
+            disposition = self.fault_plan.reply_disposition(
+                worker, self._inflight[worker][0]["seq"]
+            )
+        held = None
+        hold_until = 0.0
+        while True:
+            ready = held is None and conn.poll(0)
+            if not ready:
+                now = time.monotonic()
+                if held is not None and now >= hold_until:
+                    return held
+                if deadline is not None and now >= deadline:
+                    raise DeadlineExpiredError(worker)
+                if held is None:
+                    if not self._procs[worker].is_alive() and not conn.poll(0):
+                        raise WorkerCrashError(worker)
+                    if not conn.poll(0.02):
+                        continue
+                else:
+                    time.sleep(min(0.02, hold_until - now))
+                    continue
+            try:
+                reply = conn.recv()
+            except (EOFError, OSError):
+                raise WorkerCrashError(worker) from None
+            if disposition == "drop":
+                # Injected reply loss: the wait continues (and starves
+                # into its deadline, if any).
+                disposition = None
+                continue
+            if disposition is not None:
+                # Injected delay: hold the reply, then deliver — unless
+                # the deadline fires first.
+                held = reply
+                hold_until = time.monotonic() + float(disposition)
+                disposition = None
+                continue
+            return reply
+
+    def _drain(self, worker: int) -> None:
+        """Await every reply ``worker`` owes, recovering crashes."""
+        inflight = self._inflight[worker]
+        while inflight:
+            deadline = min(
+                (
+                    entry["deadline"]
+                    for record in inflight
+                    if record["kind"] == "chunk"
+                    for entry in record["entries"]
+                    if entry.get("deadline") is not None
+                ),
+                default=None,
+            )
+            try:
+                status, payload = self._recv(worker, deadline)
             except WorkerCrashError:
-                self._recover(worker, results, expired=False)
+                self._recover(worker, expired=False)
                 continue
             except DeadlineExpiredError:
-                self._recover(worker, results, expired=True)
+                self._recover(worker, expired=True)
                 continue
-            self._inflight[worker].pop(0)
-            kind, payload = reply
-            if kind == "error":
+            record = inflight.pop(0)
+            if status == "error":
                 self._fail(
-                    f"solve-pool worker {worker} replied with a protocol "
-                    f"error; the pool has been closed:\n{payload}"
+                    f"pool worker {worker} replied with a protocol error; "
+                    f"the pool has been closed:\n{payload}"
                 )
             if record["kind"] == "chunk":
-                results.setdefault(record["id"], []).extend(payload)
+                self._results.setdefault(record["id"], []).extend(payload)
+            elif record["kind"] == "stage":
+                self._results[record["id"]] = payload
 
-    def _recover(
-        self, worker: int, results: "dict[int, list]", expired: bool
-    ) -> None:
-        """Respawn ``worker`` and re-dispatch (or fail) what it owed.
+    # ------------------------------------------------------------------
+    # Recovery
+    # ------------------------------------------------------------------
+    def _recover(self, worker: int, expired: bool) -> None:
+        """Respawn ``worker`` and re-send (or settle) what it owed.
 
-        ``expired`` distinguishes a deadline cancellation (the worker
-        may still be alive, wedged past a request's deadline — respawn
-        kills it) from a genuine crash.  Either way the fresh worker's
-        ledger is reset via :meth:`_on_respawn`, expired entries fail as
-        ``kind="deadline"``, and live entries are retried bit-identically
-        (their seeds are in the entries) until ``max_retries`` runs out,
-        at which point they fail as ``kind="worker_crash"`` and the pool
-        goes unhealthy.
+        The pool's one recovery path, in order:
+
+        1. respawn the worker and reset its ledger (it holds nothing);
+        2. re-install the graphs its pending records reference;
+        3. re-send the current solve spec if stage work was pending;
+        4. re-send each pending chunk and stage shard — shards through
+           the executor's ``rebuild`` hook.
+
+        ``expired`` marks a deadline cancellation (the worker may be
+        alive but late — respawning kills it): chunk entries whose
+        deadline passed fail as ``kind="deadline"``.  Work that already
+        used ``max_retries`` retries is settled instead of re-sent
+        (:meth:`_settle`), and a worker that keeps dying with only
+        setup messages pending closes the pool.
         """
         records = list(self._inflight[worker])
         self._inflight[worker].clear()
-        self.respawn(worker)
-        self.batch_restarts += 1
+        old = self._procs[worker]
+        if old.is_alive():
+            old.kill()
+        old.join(timeout=5.0)
+        try:
+            self._conns[worker].close()
+        except OSError:  # pragma: no cover - already broken
+            pass
+        self._procs[worker], self._conns[worker] = self._spawn_worker()
+        self._ledgers[worker].reset()
+        self.worker_restarts += 1
+
         now = time.monotonic()
+        setup_retries = -1
+        stage = work = False
+        resend = []
         for record in records:
-            if record["kind"] != "chunk":
-                continue  # installs are re-planned against the reset ledger
-            live = []
-            for entry in record["entries"]:
-                deadline = entry.get("deadline")
-                if expired and deadline is not None and now >= deadline:
-                    self.batch_deadline_missed += 1
-                    failure = RequestFailure(
-                        f"request deadline expired mid-dispatch "
-                        f"(worker {worker}); the dispatch was cancelled",
-                        kind="deadline",
-                        retries=record["retries"],
-                        index=entry["index"],
-                    )
-                    results.setdefault(record["id"], []).append(
-                        ("error", entry["index"], failure)
-                    )
-                else:
-                    live.append(entry)
-            if not live:
+            kind = record["kind"]
+            if kind in ("solve", "stage") or record.get("stage", False):
+                stage = True
+            if kind in ("install", "solve"):
+                setup_retries = max(setup_retries, record["retries"])
                 continue
+            work = True
+            if kind == "chunk" and expired:
+                live = []
+                for entry in record["entries"]:
+                    deadline = entry.get("deadline")
+                    if deadline is not None and now >= deadline:
+                        self.deadline_missed += 1
+                        self._fail_entry(
+                            record, entry, "deadline",
+                            f"request deadline expired mid-dispatch "
+                            f"(worker {worker}); the dispatch was cancelled",
+                        )
+                    else:
+                        live.append(entry)
+                record["entries"] = live
+                if not live:
+                    continue
             if record["retries"] >= self.max_retries:
-                self.healthy = False
-                for entry in live:
-                    failure = RequestFailure(
-                        f"pool worker died mid-dispatch and the retry "
-                        f"budget is exhausted "
-                        f"({record['retries']} of {self.max_retries} "
-                        f"retries used)",
-                        kind="worker_crash",
-                        retries=record["retries"],
-                        index=entry["index"],
-                    )
-                    results.setdefault(record["id"], []).append(
-                        ("error", entry["index"], failure)
-                    )
+                self._settle(worker, record)
                 continue
-            record["entries"] = live
-            record["deadline"] = self._entries_deadline(live)
             record["retries"] += 1
-            self.batch_retries += 1
+            self.retries += 1
+            resend.append(record)
+        if not work and setup_retries >= self.max_retries:
+            self._fail(
+                f"pool worker {worker} keeps dying during setup; the pool "
+                "has been closed"
+            )
+
+        graphs = dict(self._stage_graphs) if stage else {}
+        for record in resend:
+            if record["kind"] == "chunk":
+                graphs.update(
+                    _chunk_graphs(record["entries"], record["graphs"])
+                )
+        attempt = max([setup_retries + 1] + [r["retries"] for r in resend])
+        if attempt:
             # Bounded backoff: enough to let a transient cause (memory
             # pressure, a dying sibling) clear, never enough to wedge.
-            time.sleep(min(0.01 * (2 ** (record["retries"] - 1)), 0.1))
-            self._plan_installs(worker, live, record["graphs"])
-            self._send(worker, ("chunk", live), record)
+            time.sleep(min(0.01 * (2 ** (attempt - 1)), 0.1))
+        self._plan_installs(
+            [worker], graphs, retries=setup_retries + 1, stage=stage
+        )
+        if stage and self._spec is not None:
+            self._send(
+                worker,
+                ("solve", self._spec),
+                {"kind": "solve", "retries": setup_retries + 1},
+            )
+        for record in resend:
+            if record["kind"] == "chunk":
+                self._send(worker, ("chunk", record["entries"]), record)
+                continue
+            if record["rebuild"] is not None:
+                record["entries"] = record["rebuild"](
+                    worker, record["entries"]
+                )
+            message = ("stage", self._spec["solve_id"], record["entries"])
+            self._send(worker, message, record)
+
+    def _settle(self, worker: int, record: dict) -> None:
+        """Resolve retry-exhausted work without the worker."""
+        self.healthy = False
+        if record["kind"] == "chunk":
+            for entry in record["entries"]:
+                self._fail_entry(
+                    record, entry, "worker_crash",
+                    f"pool worker died mid-dispatch and the retry budget "
+                    f"is exhausted ({record['retries']} of "
+                    f"{self.max_retries} retries used)",
+                )
+            return
+        if record["fallback"] is None:
+            self._fail(
+                f"pool worker {worker} keeps dying mid-stage and no "
+                "fallback was provided; the pool has been closed"
+            )
+        self.fallback_shards += 1
+        self._results[record["id"]] = record["fallback"](
+            worker, record["entries"]
+        )
+
+    def _fail_entry(self, record: dict, entry: dict, kind: str, reason: str):
+        failure = RequestFailure(
+            reason, kind=kind, retries=record["retries"], index=entry["index"]
+        )
+        self._results.setdefault(record["id"], []).append(
+            ("error", entry["index"], failure)
+        )
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def _fail(self, reason: str) -> None:
+        """Tear the pool down after a protocol-level failure and raise."""
+        self.close()
+        raise RuntimeError(reason)
+
+    def close(self) -> None:
+        """Shut the workers down (idempotent, hang-free).
+
+        Dead or wedged workers must never block shutdown: the graceful
+        ``("close",)`` send is best-effort, the join budget is shared
+        across all workers rather than paid per process, and stragglers
+        are escalated terminate → kill.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        for conn in self._conns:
+            try:
+                conn.send(("close",))
+            except (BrokenPipeError, OSError, ValueError):
+                pass
+        deadline = time.monotonic() + 2.0
+        for proc in self._procs:
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+        for proc in self._procs:
+            if proc.is_alive():  # pragma: no cover - hung worker
+                proc.terminate()
+        deadline = time.monotonic() + 2.0
+        for proc in self._procs:
+            if proc.is_alive():  # pragma: no cover - hung worker
+                proc.join(timeout=max(0.05, deadline - time.monotonic()))
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join(timeout=1.0)
+        for conn in self._conns:
+            try:
+                conn.close()
+            except OSError:  # pragma: no cover
+                pass
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
+        try:
+            self.close()
+        except Exception:
+            pass
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "closed" if self._closed else "open"
+        return f"WorkerPool(workers={self.workers}, {state})"
+
+
+#: The solve-level name of :class:`WorkerPool`, kept because the
+#: benchmark's traced run (``perfbench/layers.py``) imports it.
+ResidentSolvePool = WorkerPool
 
 
 # ----------------------------------------------------------------------
@@ -567,7 +948,7 @@ def parallel_solve(
     total_budget: int,
     workers: int,
     rng: RngLike = None,
-    pool=None,
+    pool: "Optional[WorkerPool]" = None,
 ) -> SolveResult:
     """Split ``total_budget`` across ``workers`` processes and merge.
 
@@ -575,13 +956,12 @@ def parallel_solve(
     given per-worker budget.  ``workers == 1`` runs inline (no process
     overhead), so speedup measurements have an honest baseline.
 
-    ``pool`` reuses a caller-owned :class:`ResidentSolvePool` (it must
-    offer at least ``workers`` processes and is *not* shut down here) so
-    a serving session — or a sweep over worker counts — ships each graph
-    once per worker instead of once per call; by default a fresh pool is
-    created and torn down per call.  A plain ``concurrent.futures``
-    executor is also accepted for backward compatibility and gets the
-    pre-residency payload (detached problem pickled per task).
+    ``pool`` reuses a caller-owned :class:`WorkerPool` (it must offer at
+    least ``workers`` processes and is *not* shut down here), so a
+    serving session ships each graph once per worker instead of once per
+    call; by default a fresh pool is created and torn down per call.
+    The result's ``elapsed_seconds`` is the parent's wall time for the
+    whole split.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
@@ -595,49 +975,39 @@ def parallel_solve(
     if workers == 1:
         return solver_factory(total_budget).solve(problem, rng=seeds[0])
 
+    started = time.perf_counter()
     shares = split_budget(total_budget, workers)
     solvers = [solver_factory(share) for share in shares]
-    # Freeze the compiled index once before building payloads: both
-    # flavours below reuse it instead of re-freezing per process.
+    # Freeze the compiled index once before building payloads.
     problem.compiled()
     compiled_only = all(
         getattr(s, "engine", None) == "compiled" for s in solvers
     )
-
-    if pool is not None and not isinstance(pool, ResidentSolvePool):
-        # Legacy executor pool: detached problem pickled per task.
-        outcomes = _legacy_pool_solve(
-            pool, problem, solvers, seeds, compiled_only
-        )
-        return _merge_best_of(outcomes, workers, shares, compiled_only)
-
     if compiled_only:
         # Compiled-only workers never touch the dict graph: install the
         # detached flat arrays once per (graph, worker) and ship only
         # the O(1) problem spec afterwards.
-        spec = problem.payload_spec()
-        graphs = {spec["token"]: problem.compiled().detach()}
-        payloads = [spec] * workers
+        payload = problem.payload_spec()
+        graphs = {payload["token"]: problem.compiled().detach()}
     else:
         # Reference-engine workers need the dict graph; the frozen index
-        # cache rides along so they still skip the re-freeze.  No
-        # resident representation exists for the dict path, so the full
-        # problem ships per task.
+        # cache rides along so they still skip the re-freeze.
+        payload = problem
         graphs = {}
-        payloads = [problem] * workers
 
     owned = pool is None
     if owned:
-        pool = ResidentSolvePool(workers)
+        pool = WorkerPool(workers)
     elif pool.workers < workers:
         raise ValueError(
             f"pool offers {pool.workers} workers, {workers} requested"
         )
     try:
+        installs, restarts, retries = (
+            pool.installs, pool.worker_restarts, pool.retries
+        )
         pool.begin_batch()
-        for index, (payload, solver, seed) in enumerate(
-            zip(payloads, solvers, seeds)
-        ):
+        for index, (solver, seed) in enumerate(zip(solvers, seeds)):
             entry = {
                 "index": index,
                 "problem": payload,
@@ -646,52 +1016,26 @@ def parallel_solve(
             }
             pool.ship(index, [entry], graphs)
         replies = pool.collect()
+        installs = pool.installs - installs
+        restarts = pool.worker_restarts - restarts
+        retries = pool.retries - retries
         shipped_bytes = pool.batch_payload_bytes
-        installs = pool.batch_installs
         patch_bytes = pool.batch_patch_bytes
-        restarts = pool.batch_restarts
-        retries = pool.batch_retries
     finally:
         if owned:
             pool.close()
 
-    outcomes: "list" = [None] * workers
-    failures = []
-    for chunk in replies:
-        for outcome in chunk:
-            if outcome[0] == "error":
-                failures.append(outcome[2])
-            else:
-                _, index, members, value, drawn, failed, _, _ = outcome
-                outcomes[index] = (members, value, drawn, failed)
+    outcomes = [outcome for chunk in replies for outcome in chunk]
+    failures = [outcome[2] for outcome in outcomes if outcome[0] == "error"]
     if failures:
         raise RuntimeError(
             "parallel_solve worker failed:\n" + "\n".join(failures)
         )
-    result = _merge_best_of(outcomes, workers, shares, compiled_only)
-    record_shipping(
-        result.stats.extra,
-        shipped=installs > 0,
-        payload_bytes=shipped_bytes,
-        installs=installs,
-        patch_bytes=patch_bytes,
-    )
-    record_recovery(result.stats.extra, restarts=restarts, retries=retries)
-    return result
-
-
-def _legacy_pool_solve(pool, problem, solvers, seeds, compiled_only):
-    """Pre-residency path for caller-owned ``concurrent.futures`` pools."""
-    payload = problem.detached() if compiled_only else problem
-    tasks = [(payload, solver, seed) for solver, seed in zip(solvers, seeds)]
-    return list(pool.map(_worker, tasks))
-
-
-def _merge_best_of(outcomes, workers, shares, compiled_only) -> SolveResult:
-    """Fold per-worker best-of outcomes into one :class:`SolveResult`."""
     best_members, best_value = None, -float("inf")
     stats = SolveStats()
-    for members, value, drawn, failed in outcomes:
+    for _, _, members, value, drawn, failed, *_ in sorted(
+        outcomes, key=lambda outcome: outcome[1]
+    ):
         stats.samples_drawn += drawn
         stats.failed_samples += failed
         if value > best_value:
@@ -701,60 +1045,14 @@ def _merge_best_of(outcomes, workers, shares, compiled_only) -> SolveResult:
     stats.extra["payload"] = (
         "compiled-arrays" if compiled_only else "dict-graph"
     )
-
-    from repro.core.solution import GroupSolution
-
+    record_shipping(
+        stats.extra,
+        shipped=installs > 0,
+        payload_bytes=shipped_bytes,
+        installs=installs,
+        patch_bytes=patch_bytes,
+    )
+    record_recovery(stats.extra, restarts=restarts, retries=retries)
+    stats.elapsed_seconds = time.perf_counter() - started
     solution = GroupSolution(members=best_members, willingness=best_value)
     return SolveResult(solution=solution, stats=stats)
-
-
-class ParallelSolver(Solver):
-    """Solver wrapper that distributes a CBAS-ND budget over processes.
-
-    Parameters
-    ----------
-    budget:
-        Total computational budget ``T``.
-    workers:
-        Number of processes (1 = inline execution).
-    pool:
-        Optional caller-owned :class:`ResidentSolvePool` reused across
-        solves — repeated solves on one graph then ship its arrays only
-        once per worker (see :func:`parallel_solve`); the solver never
-        shuts it down.  A ``concurrent.futures`` executor is accepted
-        for backward compatibility.
-    solver_kwargs:
-        Extra arguments for each worker's :class:`CBASND` (``m``,
-        ``stages``, ``rho``, ...).
-    """
-
-    name = "cbas-nd-parallel"
-
-    def __init__(
-        self,
-        budget: int = 400,
-        workers: int = 2,
-        pool: "Optional[ResidentSolvePool]" = None,
-        **solver_kwargs,
-    ) -> None:
-        if budget < 1:
-            raise ValueError(f"budget must be positive, got {budget}")
-        if workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
-        self.budget = budget
-        self.workers = workers
-        self.pool = pool
-        self.solver_kwargs = solver_kwargs
-
-    def _solve(self, problem: WASOProblem, rng: random.Random) -> SolveResult:
-        def factory(share: int) -> CBASND:
-            return CBASND(budget=share, **self.solver_kwargs)
-
-        return parallel_solve(
-            problem,
-            factory,
-            total_budget=self.budget,
-            workers=self.workers,
-            rng=rng,
-            pool=self.pool,
-        )

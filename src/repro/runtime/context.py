@@ -2,24 +2,22 @@
 request and a :class:`~repro.core.solution.GroupSolution`.
 
 Before this layer existed the execution machinery was scattered: engine
-selection lived on every solver constructor, the solve-level pool behind
-:class:`~repro.parallel.pool.ParallelSolver`, the stage-level pool
-behind :class:`~repro.parallel.stage_pool.StagePool`, warm states on the
+selection lived on every solver constructor, worker pools behind the
+solvers that used them, warm states on the
 :class:`~repro.online.replanning.OnlinePlanner`, and the choice between
 the parallel modes in a rule-of-thumb comment.  :class:`ExecutionContext`
 consolidates all of it:
 
 * **engine selection** — ``engine="compiled"|"reference"``, inherited by
   every solver the context builds;
-* **pool lifecycle** — the solve-level :class:`~repro.parallel.pool.
-  ResidentSolvePool` and the stage-level :class:`~repro.parallel.
-  stage_pool.StagePool` are created lazily, stay resident across
-  solves, batches, and re-planning rounds — each graph's detached
-  arrays are shipped **at most once per (graph, worker) pair**, per the
-  shared residency protocol in :mod:`repro.parallel.residency` — are
-  reference-counted across co-owners (:meth:`acquire` /
-  :meth:`release`), and are torn down by :meth:`close` or
-  ``with``-exit;
+* **pool lifecycle** — one :class:`~repro.parallel.pool.WorkerPool`
+  serves both ``"solve"`` and ``"stage"`` mode.  It is created lazily,
+  stays resident across solves, batches, and re-planning rounds — each
+  graph's detached arrays are shipped **at most once per (graph,
+  worker) pair**, per the residency protocol in
+  :mod:`repro.parallel.residency` — is reference-counted across
+  co-owners (:meth:`acquire` / :meth:`release`), and is torn down by
+  :meth:`close` or ``with``-exit;
 * **mode routing** — ``mode="auto"`` resolves per request through the
   cost model in :mod:`repro.runtime.router`; ``"serial"`` / ``"solve"``
   / ``"stage"`` force a mode;
@@ -38,8 +36,8 @@ private serial one, which keeps the historical direct-call behaviour —
 ``CBASND().solve(problem, rng=7)`` remains bit-identical to every
 previous release.
 
-The context is not thread-safe: like the stage pool it serves one solve
-at a time (concurrency comes from the worker processes underneath).
+The context is not thread-safe: like the pool it serves one solve at a
+time (concurrency comes from the worker processes underneath).
 """
 
 from __future__ import annotations
@@ -68,8 +66,7 @@ from repro.runtime.requests import SolveRequest
 from repro.runtime.router import choose_mode, validate_mode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.parallel.pool import ResidentSolvePool
-    from repro.parallel.stage_pool import StagePool
+    from repro.parallel.pool import WorkerPool
 
 __all__ = ["ExecutionContext"]
 
@@ -87,7 +84,7 @@ def _factory_params(name: str):
 
 
 class ExecutionContext:
-    """Owns engines, pools, routing, and warm state for a serving session.
+    """Owns engines, the pool, routing, and warm state for a serving session.
 
     Parameters
     ----------
@@ -97,7 +94,7 @@ class ExecutionContext:
         Routing policy: ``"auto"`` (cost-model router, the default),
         or a forced ``"serial"`` / ``"solve"`` / ``"stage"``.
     workers:
-        Worker count for both pools (``None`` = one per CPU).  The
+        Worker count of the pool (``None`` = one per CPU).  The
         auto-router caps it by the CPU count; an explicit mode honours
         it as given (oversubscription is the caller's choice).
     executor:
@@ -105,18 +102,19 @@ class ExecutionContext:
         override — every staged solve runs on it, bypassing the router.
         This is what the solvers' deprecated ``executor=`` kwarg
         delegates to.
-    stage_pool / solve_pool:
-        Caller-owned pools to run on instead of lazily creating owned
-        ones; shared pools are never closed by this context.
+    pool:
+        A caller-owned :class:`~repro.parallel.pool.WorkerPool` to run
+        on instead of lazily creating an owned one; a shared pool is
+        never closed by this context.
     cpu_count:
         Override for ``os.cpu_count()`` (tests).
     max_retries:
-        Crash-retry budget for the owned pools (``None`` = the pools'
+        Crash-retry budget for the owned pool (``None`` = the pool's
         default, :data:`~repro.parallel.residency.DEFAULT_MAX_RETRIES`).
-        Once a pool exhausts it, the context goes *degraded*: the
+        Once the pool exhausts it, the context goes *degraded*: the
         affected requests re-run serially in-parent
         (``degraded_to_serial`` in their stats) and the router sends
-        everything serial until :meth:`close` discards the pools.
+        everything serial until :meth:`close` discards the pool.
     """
 
     def __init__(
@@ -125,8 +123,7 @@ class ExecutionContext:
         mode: str = "auto",
         workers: Optional[int] = None,
         executor: Optional[StageExecutor] = None,
-        stage_pool: "Optional[StagePool]" = None,
-        solve_pool: "Optional[ResidentSolvePool]" = None,
+        pool: "Optional[WorkerPool]" = None,
         cpu_count: Optional[int] = None,
         max_retries: Optional[int] = None,
     ) -> None:
@@ -144,10 +141,8 @@ class ExecutionContext:
         self._executor_override = executor
         self._serial_executor = SerialStageExecutor()
         self._vector_executor: Optional[StageExecutor] = None
-        self._stage_pool = stage_pool
-        self._owns_stage_pool = stage_pool is None
-        self._solve_pool = solve_pool
-        self._owns_solve_pool = solve_pool is None
+        self._pool = pool
+        self._owns_pool = pool is None
         self._warm_states: dict = {}
         self._mode_force: Optional[str] = None
         self._degraded = False
@@ -162,17 +157,17 @@ class ExecutionContext:
 
     @property
     def effective_workers(self) -> int:
-        """Worker count the pools are sized with."""
+        """Worker count the pool is sized with."""
         return self.workers if self.workers is not None else self.cpu_count
 
     @property
     def degraded(self) -> bool:
-        """Has a pool exhausted its crash-retry budget?
+        """Has the pool exhausted its crash-retry budget?
 
         While degraded the router sends everything serial (in-parent
         execution is the floor dying workers cannot take out); the
         serving daemon reports the flag on its health endpoint.
-        :meth:`close` discards the pools and clears it.
+        :meth:`close` discards the pool and clears it.
         """
         return self._degraded
 
@@ -184,40 +179,29 @@ class ExecutionContext:
         return _evaluator_for(problem.graph, engine or self.engine)
 
     # ------------------------------------------------------------------
-    # Pools (lazy, resident, shared)
+    # Pool (lazy, resident, shared)
     # ------------------------------------------------------------------
-    def stage_pool(self) -> "StagePool":
-        """The resident stage-level pool, created on first use."""
-        if self._stage_pool is None:
-            from repro.parallel.stage_pool import StagePool
+    def solve_pool(self) -> "WorkerPool":
+        """The resident worker pool, created on first use.
 
-            kwargs = {}
-            if self.max_retries is not None:
-                kwargs["max_retries"] = self.max_retries
-            self._stage_pool = StagePool(
-                max(1, self.effective_workers), **kwargs
-            )
-            self._owns_stage_pool = True
-        return self._stage_pool
-
-    def solve_pool(self) -> "ResidentSolvePool":
-        """The resident solve-level pool, created on first use.
-
-        Like the stage pool, its workers cache detached compiled-graph
-        arrays keyed by payload token (:mod:`repro.parallel.residency`),
-        so a serving session ships each graph at most once per worker.
+        One pool serves both parallel modes: ``solve_many`` chunks and
+        best-of splits as well as stage-sharded solves.  Its workers
+        cache detached compiled-graph arrays keyed by payload token
+        (:mod:`repro.parallel.residency`), so a serving session ships
+        each graph at most once per worker, whichever mode uses it.
         """
-        if self._solve_pool is None:
-            from repro.parallel.pool import ResidentSolvePool
+        if self._pool is None:
+            from repro.parallel.pool import WorkerPool
 
             kwargs = {}
             if self.max_retries is not None:
                 kwargs["max_retries"] = self.max_retries
-            self._solve_pool = ResidentSolvePool(
-                max(1, self.effective_workers), **kwargs
-            )
-            self._owns_solve_pool = True
-        return self._solve_pool
+            self._pool = WorkerPool(max(1, self.effective_workers), **kwargs)
+            self._owns_pool = True
+        return self._pool
+
+    #: The same pool under its stage-mode name (one pool serves both).
+    stage_pool = solve_pool
 
     # ------------------------------------------------------------------
     # Routing
@@ -284,7 +268,7 @@ class ExecutionContext:
         ):
             from repro.parallel.stage_pool import ShardedStageExecutor
 
-            return ShardedStageExecutor(pool=self.stage_pool())
+            return ShardedStageExecutor(pool=self.solve_pool())
         if solver_engine == "vector" and hasattr(solver, "_shard_mode"):
             # Vector-engine staged solves go through the batch kernel;
             # the executor is stateless (per-solve state lives on the
@@ -452,7 +436,7 @@ class ExecutionContext:
         budget: int,
         rng: RngLike,
     ) -> SolveResult:
-        """Best-of over budget slices on the solve-level pool."""
+        """Best-of over budget slices on the worker pool."""
         from repro.parallel.pool import parallel_solve
 
         kwargs = dict(solver_kwargs)
@@ -492,16 +476,19 @@ class ExecutionContext:
         SolveRequest` (or plain ``(problem, solver-name)``-style dicts
         are *not* accepted here — build them with
         :func:`~repro.runtime.requests.request_from_spec`).  Routing is
-        per request: large solves go to the resident stage pool,
-        pool-worthy ones multiplex onto the resident solve-level pool —
-        each inside one worker as a plain serial solve — while requests
-        the router judges too small to win their dispatch round trip
-        run inline in the parent (on one CPU, everything does).  Compiled-engine requests ship only their O(1)
-        payload spec once a worker holds the graph's detached arrays,
-        so a serving session pickles each graph at most once per
-        (graph, worker) pair; every multiplexed result records the
-        batch's shipping in ``stats.extra`` (``graph_shipped`` /
-        ``graph_installs`` / ``batch_payload_bytes``).
+        per request, and every parallel route runs on the one resident
+        pool, in this order: pool-worthy requests are shipped as chunks
+        (``mode="solve"``, each inside one worker as a plain serial
+        solve); requests the router judges too small to win their
+        dispatch round trip run inline in the parent while the chunks
+        are in flight; the chunks are collected; then large solves run
+        stage-sharded on the now-idle pool.  Compiled-engine requests
+        ship only their O(1) payload spec once a worker holds the
+        graph's detached arrays, so a serving session pickles each
+        graph at most once per (graph, worker) pair; every multiplexed
+        result records the batch's shipping in ``stats.extra``
+        (``graph_shipped`` / ``graph_installs`` /
+        ``batch_payload_bytes``).
 
         Results come back in request order and are bit-identical to
         calling :meth:`solve` once per request (stats excepted only in
@@ -538,7 +525,6 @@ class ExecutionContext:
             batch_start + r.deadline_s if r.deadline_s is not None else None
             for r in requests
         ]
-        predispatch_missed = 0
         routed = []
         for request in requests:
             route = self.resolve_mode(
@@ -560,15 +546,9 @@ class ExecutionContext:
         if shared_rng or all(route == "serial" for route in routed):
             # Stateful generators must consume their streams in request
             # order — and a fully serial batch has nothing to dispatch.
-            for index, request in enumerate(requests):
-                expired = self._expired_failure(request, deadlines[index])
-                if expired is not None:
-                    failures[index] = expired
-                    continue
-                try:
-                    results[index] = self._solve_request(request)
-                except Exception:
-                    failures[index] = traceback.format_exc()
+            self._run_in_parent(
+                requests, range(batch), deadlines, results, failures, "serial"
+            )
             return self._finish_batch(results, failures)
 
         # Distinct graphs are frozen and detached at most once (lazily —
@@ -577,7 +557,7 @@ class ExecutionContext:
         # pickles them only into workers that do not hold them yet.
         detached_graphs: dict[int, object] = {}
         graphs: dict = {}  # payload token -> detached CompiledGraph
-        entries = []  # multiplexed requests, as solve-pool entry dicts
+        entries = []  # multiplexed requests, as chunk entry dicts
         stage_indices = []
         inline_indices = []
         for index, (request, route) in enumerate(zip(requests, routed)):
@@ -616,9 +596,12 @@ class ExecutionContext:
                 }
             )
 
-        dispatched = bool(entries)
-        if dispatched:
+        if entries:
             pool = self.solve_pool()
+            restarts, retries, missed = (
+                pool.worker_restarts, pool.retries, pool.deadline_missed
+            )
+            installs = pool.installs
             pool.begin_batch()
             workers = max(
                 1, min(self.effective_workers, pool.workers, len(entries))
@@ -629,41 +612,21 @@ class ExecutionContext:
             for worker in range(workers):
                 pool.ship(worker, entries[worker::workers], graphs)
 
-        # Large solves run on the stage pool — and serial-routed ones
-        # inline — while the chunks are in flight on the solve pool; a
-        # failure here must not abandon the in-flight chunks (they are
-        # collected below regardless).
-        for index in stage_indices:
-            expired = self._expired_failure(requests[index], deadlines[index])
-            if expired is not None:
-                failures[index] = expired
-                predispatch_missed += 1
-                continue
-            try:
-                results[index] = self._solve_request(
-                    requests[index], mode="stage"
-                )
-            except Exception:
-                failures[index] = traceback.format_exc()
-        for index in inline_indices:
-            expired = self._expired_failure(requests[index], deadlines[index])
-            if expired is not None:
-                failures[index] = expired
-                predispatch_missed += 1
-                continue
-            try:
-                results[index] = self._solve_request(requests[index])
-            except Exception:
-                failures[index] = traceback.format_exc()
+        # Serial-routed requests run inline while the chunks are in
+        # flight; a failure here must not abandon the in-flight chunks
+        # (they are collected below regardless).
+        predispatch_missed = self._run_in_parent(
+            requests, inline_indices, deadlines, results, failures, "serial"
+        )
 
-        if dispatched:
+        if entries:
             for chunk_outcomes in pool.collect():
                 for outcome in chunk_outcomes:
                     if outcome[0] == "error":
                         failures[outcome[1]] = outcome[2]
                         continue
                     (_, index, members, willingness, drawn, failed,
-                     stages, extra) = outcome
+                     stages, extra, elapsed) = outcome
                     results[index] = SolveResult(
                         solution=GroupSolution(
                             members=members, willingness=willingness
@@ -672,6 +635,7 @@ class ExecutionContext:
                             samples_drawn=drawn,
                             failed_samples=failed,
                             stages=stages,
+                            elapsed_seconds=elapsed,
                             extra=extra,
                         ),
                     )
@@ -679,7 +643,7 @@ class ExecutionContext:
             # the retry budget exhausted is not lost — it re-runs
             # serially in-parent (bit-identically: the seed is in the
             # request), the pool is flagged unhealthy, and the router
-            # sends everything serial until close() discards the pools.
+            # sends everything serial until close() discards the pool.
             degraded = 0
             if not pool.healthy:
                 self._degraded = True
@@ -701,28 +665,50 @@ class ExecutionContext:
             # (the stage path records the same keys from its executor).
             # Recovery keys appear only when something actually happened,
             # so fault-free stats are unchanged.
-            installs = pool.batch_installs
-            payload_bytes = pool.batch_payload_bytes
-            patch_bytes = pool.batch_patch_bytes
+            installs = pool.installs - installs
             for entry in entries:
                 result = results[entry["index"]]
                 if result is not None:
                     record_shipping(
                         result.stats.extra,
                         shipped=installs > 0,
-                        payload_bytes=payload_bytes,
+                        payload_bytes=pool.batch_payload_bytes,
                         installs=installs,
-                        patch_bytes=patch_bytes,
+                        patch_bytes=pool.batch_patch_bytes,
                     )
                     record_recovery(
                         result.stats.extra,
-                        restarts=pool.batch_restarts,
-                        retries=pool.batch_retries,
+                        restarts=pool.worker_restarts - restarts,
+                        retries=pool.retries - retries,
                         degraded=degraded,
-                        deadline_missed=pool.batch_deadline_missed
+                        deadline_missed=pool.deadline_missed - missed
                         + predispatch_missed,
                     )
+
+        # Large solves run stage-sharded last, on the now-idle pool, so a
+        # mixed batch never needs more processes than the pool has.
+        self._run_in_parent(
+            requests, stage_indices, deadlines, results, failures, "stage"
+        )
         return self._finish_batch(results, failures)
+
+    def _run_in_parent(
+        self, requests, indices, deadlines, results, failures, mode
+    ) -> int:
+        """Solve ``requests[indices]`` from the parent in ``mode``;
+        returns how many had already missed their deadline."""
+        missed = 0
+        for index in indices:
+            expired = self._expired_failure(requests[index], deadlines[index])
+            if expired is not None:
+                failures[index] = expired
+                missed += 1
+                continue
+            try:
+                results[index] = self._solve_request(requests[index], mode)
+            except Exception:
+                failures[index] = traceback.format_exc()
+        return missed
 
     @staticmethod
     def _expired_failure(
@@ -733,7 +719,7 @@ class ExecutionContext:
         The in-parent paths (serial batches, stage-routed and
         inline-routed requests) cannot cancel a solve mid-flight, so
         their deadline enforcement happens here, at the dispatch
-        boundary — matching the pools, which likewise never abandon a
+        boundary — matching the pool, which likewise never abandons a
         reply that already arrived.
         """
         if deadline is None or time.monotonic() < deadline:
@@ -788,24 +774,20 @@ class ExecutionContext:
         return self
 
     def release(self) -> None:
-        """Drop one ownership reference; the last one closes the pools."""
+        """Drop one ownership reference; the last one closes the pool."""
         self._refs -= 1
         if self._refs <= 0:
             self.close()
 
     def close(self) -> None:
-        """Tear down owned pools (idempotent; the context stays usable —
-        a later parallel solve lazily recreates them).  Discarding the
-        pools also clears the degraded flag: fresh pools are trusted
-        again."""
-        pool, self._stage_pool = self._stage_pool, None
-        if pool is not None and self._owns_stage_pool:
+        """Tear down the owned pool (idempotent; the context stays
+        usable — a later parallel solve lazily recreates it).
+        Discarding the pool also clears the degraded flag: a fresh pool
+        is trusted again."""
+        pool, self._pool = self._pool, None
+        if pool is not None and self._owns_pool:
             pool.close()
-        solve_pool, self._solve_pool = self._solve_pool, None
-        if solve_pool is not None and self._owns_solve_pool:
-            solve_pool.close()
-        self._owns_stage_pool = True
-        self._owns_solve_pool = True
+        self._owns_pool = True
         self._degraded = False
 
     def __enter__(self) -> "ExecutionContext":
@@ -821,13 +803,8 @@ class ExecutionContext:
             pass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        pools = []
-        if self._stage_pool is not None:
-            pools.append("stage")
-        if self._solve_pool is not None:
-            pools.append("solve")
         return (
             f"ExecutionContext(engine={self.engine!r}, mode={self.mode!r}, "
             f"workers={self.effective_workers}, "
-            f"pools=[{', '.join(pools)}])"
+            f"pool={'up' if self._pool is not None else 'down'})"
         )

@@ -47,19 +47,20 @@ stdlib ``asyncio`` server on top of the self-healing runtime:
 
 * **self-healing + graceful degradation** — worker crashes, retries,
   and deadlines are the runtime's problem (PR 6) and stay invisible in
-  results; if a pool exhausts its retry budget the context degrades to
+  results; if the pool exhausts its retry budget the context degrades to
   in-parent serial and the daemon *keeps serving* (slower, alive),
   reporting ``"degraded"`` on ``/healthz``.
 
 * **graceful lifecycle** — :meth:`ServingDaemon.shutdown` stops
   accepting, sheds new arrivals, drains the queue (every admitted
   request gets its reply), flushes connections, and tears down the
-  pools — no orphan processes, no hung clients.
+  pool — no orphan processes, no hung clients.
 
 Chaos plans (:class:`~repro.parallel.faults.FaultPlan`) target the
 daemon end to end: worker kills/drops/delays are installed on the
-context's pools and fire underneath served batches, and queue ``stalls``
-hold the dispatch loop to force deterministic shed/timeout scenarios —
+context's pool and fire underneath served batches (multiplexed chunks
+and stage-sharded solves alike), and queue ``stalls`` hold the
+dispatch loop to force deterministic shed/timeout scenarios —
 the chaos suite in ``tests/test_serving.py`` proves seeded results
 served through the daemon are bit-identical to direct ``solve_many``.
 """
@@ -93,7 +94,7 @@ def _json_line(payload: dict) -> bytes:
 
 #: Daemons with live sockets, so forked pool workers can disown them.
 #:
-#: The resident pools fork their workers *while the daemon is serving*
+#: The resident pool forks its workers *while the daemon is serving*
 #: — lazily on the first pool-routed batch, and again on every
 #: crash-respawn — and a forked child inherits every open file
 #: descriptor, including the listening socket and the live client
@@ -158,7 +159,7 @@ class ServingDaemon:
     calibrator:
         SLO work-rate model (a fresh default one when omitted).
     fault_plan:
-        Test-only chaos hook — installed on the context's pools (worker
+        Test-only chaos hook — installed on the context's pool (worker
         kills/drops/delays) and consulted by the dispatch loop for
         queue stalls.  Production code must never set it.
     """
@@ -253,22 +254,21 @@ class ServingDaemon:
     async def start(
         self, host: str = "127.0.0.1", port: int = 0
     ) -> "tuple[str, int]":
-        """Bind, warm the pools, and begin serving; returns the address."""
+        """Bind, warm the pool, and begin serving; returns the address."""
         if self._started:
             raise RuntimeError("daemon already started")
         # Forked pool workers must not inherit (and thereby hold open)
         # the daemon's sockets — see ``_LIVE_DAEMONS``.
         _install_at_fork_guard()
         _LIVE_DAEMONS.add(self)
-        # Warm the pools before the first connection exists: a ready
+        # Warm the pool before the first connection exists: a ready
         # daemon should answer its first request at full speed, not pay
         # the worker spawn on it, and forking before any client socket
         # is open keeps early workers free of inherited connections.
         if self._context.effective_workers > 1:
-            solve_pool = await asyncio.to_thread(self._context.solve_pool)
-            await asyncio.to_thread(self._context.stage_pool)
+            pool = await asyncio.to_thread(self._context.solve_pool)
             if self.fault_plan is not None:
-                solve_pool.fault_plan = self.fault_plan
+                pool.fault_plan = self.fault_plan
         self._server = await asyncio.start_server(
             self._handle_connection, host=host, port=port
         )
@@ -286,13 +286,13 @@ class ServingDaemon:
         Stops accepting (new arrivals on still-open connections shed
         with ``kind="shed"``), lets the dispatch loop finish the queue,
         flushes every connection's pending replies, then releases the
-        context — closing the pools when the daemon owns them, so no
+        context — closing the pool when the daemon owns it, so no
         worker processes outlive the daemon.
         """
         if not self._started:
             return
         self._draining = True
-        # Untrack the listening fds before close() — pools still
+        # Untrack the listening fds before close() — the pool still
         # respawn workers during the drain, and the at-fork hook must
         # not close whatever the kernel recycles these numbers into.
         for sock in self._server.sockets:
@@ -662,7 +662,7 @@ class ServingDaemon:
         The tenant's compiled index is patched in place through
         :meth:`~repro.graph.compiled.CompiledGraph.apply_deltas` —
         payload token preserved, generation bumped — so the resident
-        pools refresh warm workers with O(|delta|) ``graph_patch``
+        pool refreshes warm workers with O(|delta|) ``graph_patch``
         records on the next batch instead of full re-installs.  An
         mmap-backed tenant (a ``graphs=`` path) is materialized into
         memory by the first patch.  Never raises: a bad delta becomes

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import random
+import time
 
 import pytest
 
@@ -125,3 +127,18 @@ def index_cache(tmp_path):
     path = tmp_path / "graph-cache"
     path.mkdir()
     return path
+
+
+@pytest.fixture
+def no_orphans():
+    """Assert the test leaves no worker processes behind (5 s grace)."""
+    before = set(multiprocessing.active_children())
+    yield
+    deadline = time.monotonic() + 5.0
+    while True:
+        leaked = set(multiprocessing.active_children()) - before
+        if not leaked:
+            return
+        if time.monotonic() >= deadline:
+            raise AssertionError(f"orphan worker processes: {leaked}")
+        time.sleep(0.02)

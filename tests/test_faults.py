@@ -1,4 +1,4 @@
-"""Chaos differential suite for the self-healing worker pools.
+"""Chaos differential suite for the self-healing worker pool.
 
 Every test here injects a *deterministic* fault — a worker SIGKILLed
 before a named RPC, a reply dropped or delayed past a deadline — through
@@ -26,7 +26,6 @@ re-runnable standalone via the registered ``chaos`` marker::
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
 
 import pytest
@@ -41,10 +40,11 @@ from repro.parallel import (
     NEXT_RPC,
     ArrivalScript,
     FaultPlan,
-    ResidentSolvePool,
     ShardedStageExecutor,
-    StagePool,
+    WorkerPool,
 )
+from repro.parallel.pool import ResidentSolvePool
+from repro.parallel.stage_pool import StagePool
 from repro.runtime import ExecutionContext, SolveRequest
 
 pytestmark = pytest.mark.chaos
@@ -84,21 +84,6 @@ def _assert_same_result(faulted, clean) -> None:
         if key not in _VOLATILE_KEYS
     }
     assert strip(faulted.stats.extra) == strip(clean.stats.extra)
-
-
-@pytest.fixture
-def no_orphans():
-    """Assert the test leaves no worker processes behind."""
-    before = set(multiprocessing.active_children())
-    yield
-    deadline = time.monotonic() + 5.0
-    while True:
-        leaked = set(multiprocessing.active_children()) - before
-        if not leaked:
-            return
-        if time.monotonic() >= deadline:
-            raise AssertionError(f"orphan worker processes: {leaked}")
-        time.sleep(0.02)
 
 
 def _requests(graph, engine: str = "compiled") -> "list[SolveRequest]":
@@ -400,10 +385,10 @@ class TestStagePoolRecovery:
     def test_kill_at_every_rpc_position_is_bit_identical(
         self, small_facebook, no_orphans, worker, rpc
     ):
-        with StagePool(2) as pool:
+        with WorkerPool(2) as pool:
             clean = _stage_solve(small_facebook, pool)
         plan = FaultPlan(kills=[(worker, rpc)])
-        with StagePool(2) as pool:
+        with WorkerPool(2) as pool:
             pool.fault_plan = plan
             faulted = _stage_solve(small_facebook, pool)
             assert plan.log == [("kill", worker, rpc)]
@@ -421,10 +406,10 @@ class TestStagePoolRecovery:
         """A worker killed mid-stage under ``engine="vector"`` respawns,
         re-installs the vector graph, and redraws its shard to the same
         bits — the numpy residency path heals like the compiled one."""
-        with StagePool(2) as pool:
+        with WorkerPool(2) as pool:
             clean = _stage_solve(small_facebook, pool, engine="vector")
         plan = FaultPlan(kills=[(0, 3)])  # first stage dispatch
-        with StagePool(2) as pool:
+        with WorkerPool(2) as pool:
             pool.fault_plan = plan
             faulted = _stage_solve(small_facebook, pool, engine="vector")
             assert plan.log == [("kill", 0, 3)]
@@ -443,10 +428,10 @@ class TestStagePoolRecovery:
         """With a zero retry budget a mid-stage crash runs the shard in
         the parent — still bit-identical — and the worker is healed
         lazily before the next stage."""
-        with StagePool(2) as pool:
+        with WorkerPool(2) as pool:
             clean = _stage_solve(small_facebook, pool)
         plan = FaultPlan(kills=[(0, 3)])  # first stage dispatch
-        with StagePool(2, max_retries=0) as pool:
+        with WorkerPool(2, max_retries=0) as pool:
             pool.fault_plan = plan
             faulted = _stage_solve(small_facebook, pool)
             assert plan.log == [("kill", 0, 3)]
@@ -462,10 +447,17 @@ class TestStagePoolRecovery:
 # Shutdown hygiene
 # ----------------------------------------------------------------------
 class TestCloseHygiene:
-    @pytest.mark.parametrize("pool_cls", [ResidentSolvePool, StagePool])
+    # Both historical names alias the one pool class; each must still
+    # construct a pool that shuts down cleanly.
+    @pytest.mark.parametrize(
+        "pool_cls",
+        [ResidentSolvePool, StagePool],
+        ids=["ResidentSolvePool", "StagePool"],
+    )
     def test_close_is_idempotent_with_all_workers_dead(
         self, no_orphans, pool_cls
     ):
+        assert pool_cls is WorkerPool
         pool = pool_cls(2)
         for proc in pool._procs:
             proc.kill()

@@ -1,4 +1,4 @@
-"""Tests for the solve-level parallel pool and its residency protocol."""
+"""Tests for solve-level execution on the worker pool and its residency."""
 
 import pickle
 
@@ -7,12 +7,14 @@ import pytest
 from repro.algorithms.cbas_nd import CBASND
 from repro.core.problem import WASOProblem
 from repro.parallel import (
-    ParallelSolver,
-    ResidentSolvePool,
+    WorkerPool,
     parallel_solve,
     split_budget,
     worker_payload_bytes,
 )
+from repro.runtime import ExecutionContext
+
+pytestmark = pytest.mark.usefixtures("no_orphans")
 
 
 class TestBudgetSplit:
@@ -132,14 +134,12 @@ class TestParallelSolve:
             parallel_solve(problem, factory, total_budget=1, workers=4)
 
     def test_reuses_caller_owned_pool(self, small_facebook):
-        """A shared executor serves several runs and is not shut down."""
-        from concurrent.futures import ProcessPoolExecutor
-
+        """A shared pool serves several runs and is not shut down."""
         problem = WASOProblem(graph=small_facebook, k=5)
         factory = lambda budget: CBASND(  # noqa: E731
             budget=budget, m=5, stages=3
         )
-        with ProcessPoolExecutor(max_workers=2) as shared:
+        with WorkerPool(2) as shared:
             first = parallel_solve(
                 problem, factory, total_budget=60, workers=2, rng=4,
                 pool=shared,
@@ -151,7 +151,9 @@ class TestParallelSolve:
             assert first.solution.is_feasible(problem)
             assert second.solution.is_feasible(problem)
             # The pool survives parallel_solve: it still accepts work.
-            assert shared.submit(sum, (1, 2)).result() == 3
+            shared.begin_batch()
+            shared.ship(0, [], {})
+            assert shared.collect() == [[]]
 
 
 class TestResidentSolvePool:
@@ -164,7 +166,7 @@ class TestResidentSolvePool:
         """The tentpole property: repeated best-of solves on one graph
         install the detached arrays exactly once per worker."""
         problem = WASOProblem(graph=small_facebook, k=5)
-        with ResidentSolvePool(2) as pool:
+        with WorkerPool(2) as pool:
             first = parallel_solve(
                 problem, self._factory(), total_budget=60, workers=2,
                 rng=4, pool=pool,
@@ -184,26 +186,24 @@ class TestResidentSolvePool:
             assert second.stats.extra["batch_payload_bytes"] < slim
             assert first.stats.extra["batch_payload_bytes"] > slim
 
-    def test_resident_pool_matches_legacy_and_owned(self, small_facebook):
-        """Bit-identity across the three pool flavours: owned resident
-        pool, shared resident pool, and a legacy executor pool."""
-        from concurrent.futures import ProcessPoolExecutor
-
+    def test_resident_pool_matches_owned_and_context(self, small_facebook):
+        """Bit-identity across the ways to run a best-of split: an owned
+        pool, a shared pool, and ``mode="solve"`` through the runtime
+        layer."""
         problem = WASOProblem(graph=small_facebook, k=5)
         owned = parallel_solve(
             problem, self._factory(), total_budget=60, workers=2, rng=4
         )
-        with ResidentSolvePool(2) as pool:
+        with WorkerPool(2) as pool:
             resident = parallel_solve(
                 problem, self._factory(), total_budget=60, workers=2,
                 rng=4, pool=pool,
             )
-        with ProcessPoolExecutor(max_workers=2) as legacy_pool:
-            legacy = parallel_solve(
-                problem, self._factory(), total_budget=60, workers=2,
-                rng=4, pool=legacy_pool,
+        with ExecutionContext(mode="solve", workers=2) as context:
+            routed = context.solve(
+                problem, "cbas-nd", rng=4, budget=60, m=5, stages=3
             )
-        for other in (resident, legacy):
+        for other in (resident, routed):
             assert other.members == owned.members
             assert other.willingness == owned.willingness
             assert other.stats.samples_drawn == owned.stats.samples_drawn
@@ -215,7 +215,7 @@ class TestResidentSolvePool:
 
         problem_a = WASOProblem(graph=small_facebook, k=5)
         problem_b = WASOProblem(graph=facebook_like(120, seed=9), k=4)
-        with ResidentSolvePool(2, resident_graphs=1) as pool:
+        with WorkerPool(2, resident_graphs=1) as pool:
             for expected_installs, problem, seed in (
                 (2, problem_a, 1),   # cold: ship A
                 (2, problem_a, 2),   # warm: nothing
@@ -235,7 +235,7 @@ class TestResidentSolvePool:
         """The dict path has no resident representation: reference-engine
         workers get the full problem, and no graph is installed."""
         problem = WASOProblem(graph=small_facebook, k=5)
-        with ResidentSolvePool(2) as pool:
+        with WorkerPool(2) as pool:
             result = parallel_solve(
                 problem,
                 self._factory(engine="reference"),
@@ -260,7 +260,7 @@ class TestResidentSolvePool:
         problem_a = WASOProblem(graph=small_facebook, k=5)
         problem_b = WASOProblem(graph=facebook_like(120, seed=9), k=4)
         solver = CBASND(budget=30, m=4, stages=2)
-        with ResidentSolvePool(1) as pool:
+        with WorkerPool(1) as pool:
             pool.begin_batch()
             for index, problem in enumerate((problem_a, problem_b)):
                 spec = problem.payload_spec()
@@ -286,7 +286,7 @@ class TestResidentSolvePool:
 
     def test_pool_smaller_than_workers_rejected(self, small_facebook):
         problem = WASOProblem(graph=small_facebook, k=5)
-        with ResidentSolvePool(1) as pool:
+        with WorkerPool(1) as pool:
             with pytest.raises(ValueError, match="workers"):
                 parallel_solve(
                     problem, self._factory(), total_budget=60, workers=2,
@@ -294,36 +294,38 @@ class TestResidentSolvePool:
                 )
 
     def test_closed_pool_rejected(self, small_facebook):
-        pool = ResidentSolvePool(1)
+        pool = WorkerPool(1)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             pool.ship(0, [], {})
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ResidentSolvePool(0)
+            WorkerPool(0)
         with pytest.raises(ValueError):
-            ResidentSolvePool(1, resident_graphs=0)
+            WorkerPool(1, resident_graphs=0)
 
 
-class TestParallelSolver:
+class TestSolveModeSplit:
+    """The best-of split as callers reach it: ``mode="solve"``."""
+
     def test_solver_interface(self, small_facebook):
         problem = WASOProblem(graph=small_facebook, k=5)
-        solver = ParallelSolver(budget=60, workers=2, m=5, stages=3)
-        result = solver.solve(problem, rng=9)
+        with ExecutionContext(mode="solve", workers=2) as context:
+            result = context.solve(
+                problem, "cbas-nd", rng=9, budget=60, m=5, stages=3
+            )
         assert result.solution.is_feasible(problem)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ParallelSolver(budget=0)
-        with pytest.raises(ValueError):
-            ParallelSolver(budget=10, workers=0)
+        assert result.stats.extra["workers"] == 2
+        # The split reports the parent's wall time, not zero.
+        assert result.stats.elapsed_seconds > 0
 
     def test_quality_comparable_to_serial(self, small_facebook):
         """Splitting the budget must not collapse quality (statistical)."""
         problem = WASOProblem(graph=small_facebook, k=6)
         serial = CBASND(budget=120, m=6, stages=4).solve(problem, rng=2)
-        parallel = ParallelSolver(
-            budget=120, workers=2, m=6, stages=4
-        ).solve(problem, rng=2)
+        with ExecutionContext(mode="solve", workers=2) as context:
+            parallel = context.solve(
+                problem, "cbas-nd", rng=2, budget=120, m=6, stages=4
+            )
         assert parallel.willingness >= serial.willingness * 0.5

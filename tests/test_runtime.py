@@ -185,8 +185,7 @@ class TestExecutionContext:
         before = _children()
         with ExecutionContext(workers=2) as context:
             context.solve(problem, "cbas-nd", rng=1, budget=40, m=4, stages=2)
-            assert context._stage_pool is None
-            assert context._solve_pool is None
+            assert context._pool is None
         assert _children() == before
 
     def test_solver_pickles_without_its_context(self, small_facebook):
@@ -195,7 +194,7 @@ class TestExecutionContext:
         problem = WASOProblem(graph=small_facebook, k=5)
         with ExecutionContext(workers=2) as context:
             solver = context.make_solver("cbas-nd", budget=40, m=4, stages=2)
-            context.stage_pool()  # pools must never cross the pickle
+            context.stage_pool()  # the pool must never cross the pickle
             clone = pickle.loads(pickle.dumps(solver))
         assert clone.context is not solver.context
         assert clone.context.mode == "serial"
@@ -275,7 +274,7 @@ class TestExecutionContext:
         )
         serial = context.executor_for(reference, problem)
         assert not hasattr(serial, "pool")
-        assert context._stage_pool is None  # lazily skipped, too
+        assert context._pool is None  # lazily skipped, too
         context.close()
 
 
@@ -393,8 +392,9 @@ class TestSolveMany:
         ]
         with ExecutionContext(workers=2, cpu_count=4) as context:
             batched = context.solve_many(requests)
-            assert context._stage_pool is None  # nothing took the dead route
-            assert context._solve_pool is not None
+            assert context._pool is not None
+        # Nothing took the dead route: no result was stage-sharded.
+        assert not any("stage_workers" in r.stats.extra for r in batched)
         for lhs, rhs in zip(looped, batched):
             _assert_same_result(lhs, rhs)
 
@@ -537,13 +537,13 @@ class TestServingSessionResidency:
     def test_session_ships_graph_once_per_worker(self, runtime_graph):
         """Acceptance: ``solve_many`` twice plus a replan over the same
         problem pickles the detached arrays at most once per worker."""
-        from repro.parallel import ResidentSolvePool, worker_payload_bytes
+        from repro.parallel import WorkerPool, worker_payload_bytes
 
         problem = WASOProblem(graph=runtime_graph, k=5)
         slim = worker_payload_bytes(problem)["compiled_arrays_bytes"]
         looped = self._looped(self._requests(problem, (11, 12, 13), "compiled"))
-        with ResidentSolvePool(2) as pool:
-            with ExecutionContext(workers=2, solve_pool=pool) as context:
+        with WorkerPool(2) as pool:
+            with ExecutionContext(workers=2, pool=pool) as context:
                 first = context.solve_many(
                     self._requests(problem, (11, 12, 13), "compiled"),
                     mode="solve",
@@ -600,7 +600,7 @@ class TestServingSessionResidency:
         eviction forces a re-ship, and every batch stays bit-identical
         to its serial loop — on both engines."""
         from repro.graph.generators import facebook_like
-        from repro.parallel import ResidentSolvePool
+        from repro.parallel import WorkerPool
 
         problem_a = WASOProblem(graph=runtime_graph, k=5)
         problem_b = WASOProblem(graph=facebook_like(120, seed=32), k=4)
@@ -611,8 +611,8 @@ class TestServingSessionResidency:
             self._requests(problem_a, (6, 7, 8), engine),
         ]
         looped = [self._looped(batch) for batch in batches]
-        with ResidentSolvePool(2, resident_graphs=1) as pool:
-            with ExecutionContext(workers=2, solve_pool=pool) as context:
+        with WorkerPool(2, resident_graphs=1) as pool:
+            with ExecutionContext(workers=2, pool=pool) as context:
                 outcomes = [
                     context.solve_many(batch, mode="solve")
                     for batch in batches
@@ -632,6 +632,38 @@ class TestServingSessionResidency:
         for expected_batch, got_batch in zip(looped, outcomes):
             for expected, got in zip(expected_batch, got_batch):
                 _assert_same_result(expected, got)
+
+    def test_one_pool_serves_solve_and_stage(self, runtime_graph, no_orphans):
+        """A ``mode="solve"`` batch and a stage-sharded solve on the same
+        graph share one pool: W processes, one install per worker, and
+        the stage solve finds the graph already resident."""
+        problem = WASOProblem(graph=runtime_graph, k=5)
+        before = _children()
+        with ExecutionContext(workers=2, cpu_count=4) as context:
+            context.solve_many(
+                self._requests(problem, (1, 2, 3), "compiled"), mode="solve"
+            )
+            staged = context.solve(
+                problem, "cbas-nd", rng=4, mode="stage",
+                budget=120, m=6, stages=3,
+            )
+            assert len(_children() - before) == 2
+            assert context.solve_pool().installs == 2
+            assert context.stage_pool() is context.solve_pool()
+        assert staged.stats.extra["stage_workers"] == 2
+        assert staged.stats.extra["graph_shipped"] is False
+        assert staged.stats.extra["batch_payload_bytes"] == 0
+
+    def test_pooled_results_report_their_solve_time(self, runtime_graph):
+        """Every multiplexed result carries the worker's own wall time
+        for its solve (the SLO calibrator learns from it)."""
+        problem = WASOProblem(graph=runtime_graph, k=5)
+        with ExecutionContext(workers=2, cpu_count=4) as context:
+            results = context.solve_many(
+                self._requests(problem, (1, 2, 3, 4), "compiled"),
+                mode="solve",
+            )
+        assert all(r.stats.elapsed_seconds > 0 for r in results)
 
 
 class TestSolveManyFailures:
@@ -736,7 +768,7 @@ class TestPoolHygiene:
                 for s in (1, 2)
             ]
             context.solve_many(requests, mode="solve")
-            assert _children() - before  # both pools actually spawned
+            assert _children() - before  # the pool actually spawned
         assert _children() == before
 
     def test_no_workers_leak_after_close(self, small_facebook):
@@ -784,7 +816,7 @@ class TestPoolHygiene:
                 budget=40, m=4, stages=2,
             )
             with ExecutionContext(
-                workers=2, stage_pool=owner.stage_pool()
+                workers=2, pool=owner.stage_pool()
             ) as borrower:
                 borrower.solve(
                     problem, "cbas-nd", rng=2, mode="stage",
@@ -810,13 +842,13 @@ class TestOnlinePlannerRuntime:
             ) as planner:
                 group = planner.plan()
                 assert planner.last_result.stats.extra["graph_shipped"]
-                assert context._stage_pool is not None
-                installs = context._stage_pool.installs
+                assert context._pool is not None
+                installs = context._pool.installs
                 victim = next(iter(sorted(group.members)))
                 planner.record_decline(victim)
                 # The replan reused the resident pool: no second install,
                 # no re-shipped graph.
-                assert context._stage_pool.installs == installs
+                assert context._pool.installs == installs
                 assert (
                     planner.last_result.stats.extra["graph_shipped"] is False
                 )

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import multiprocessing
 import os
 import signal
 import socket
@@ -72,20 +71,6 @@ _VOLATILE_KEYS = frozenset(
         "deadline_missed",
     }
 )
-
-
-@pytest.fixture
-def no_orphans():
-    before = set(multiprocessing.active_children())
-    yield
-    deadline = time.monotonic() + 5.0
-    while True:
-        leaked = set(multiprocessing.active_children()) - before
-        if not leaked:
-            return
-        if time.monotonic() >= deadline:
-            raise AssertionError(f"orphan worker processes: {leaked}")
-        time.sleep(0.02)
 
 
 # ----------------------------------------------------------------------
@@ -242,6 +227,68 @@ class TestDifferential:
             reply = replies[spec["id"]]
             _assert_reply_matches(reply, result)
             assert reply["extra"]["worker_restarts"] == 1
+
+    def test_worker_kill_under_stage_routed_request_is_invisible(
+        self, small_facebook, no_orphans
+    ):
+        """The daemon's chaos plan reaches stage RPCs too: a worker
+        SIGKILLed before its first stage shard recovers, and the served
+        replies equal the direct stage-routed ``solve_many``."""
+        specs = _specs(count=2)
+        direct = _direct_results(small_facebook, specs, mode="stage")
+
+        async def scenario():
+            # A fresh pool's worker 0 sees: 1 = graph install, 2 = solve
+            # spec, 3 = the first stage shard of the first request.
+            plan = FaultPlan(kills=[(0, 3)], stalls={1: 0.3})
+            daemon = ServingDaemon(
+                small_facebook,
+                mode="stage",
+                fault_plan=plan,
+                **_daemon_kwargs(),
+            )
+            host, port = await daemon.start()
+            try:
+                replies = await _send_all(host, port, specs)
+                restarts = daemon.context.solve_pool().worker_restarts
+            finally:
+                await daemon.shutdown()
+            assert ("kill", 0, 3) in plan.log, "the injected kill never fired"
+            return replies, restarts
+
+        replies, restarts = asyncio.run(scenario())
+        assert restarts == 1
+        for spec, result in zip(specs, direct):
+            assert "stage_workers" in result.stats.extra
+            _assert_reply_matches(replies[spec["id"]], result)
+        assert [
+            replies[spec["id"]]["extra"].get("worker_restarts", 0)
+            for spec in specs
+        ] == [1, 0]
+
+    def test_pooled_burst_calibrates_the_solve_cell(
+        self, small_facebook, no_orphans
+    ):
+        """Pooled solve-mode results carry their solve time, so a served
+        burst teaches the calibrator's ``(engine, "solve")`` cell."""
+
+        async def scenario():
+            daemon = ServingDaemon(
+                small_facebook,
+                mode="solve",
+                fault_plan=FaultPlan(stalls={1: 0.3}),
+                **_daemon_kwargs(),
+            )
+            host, port = await daemon.start()
+            try:
+                replies = await _send_all(host, port, _specs())
+            finally:
+                await daemon.shutdown()
+            return replies, daemon.calibrator
+
+        replies, calibrator = asyncio.run(scenario())
+        assert all(reply["ok"] for reply in replies.values())
+        assert calibrator.observations.get(("compiled", "solve"), 0) == 4
 
     def test_client_disconnect_mid_solve_keeps_daemon_serving(
         self, small_facebook, no_orphans
