@@ -25,7 +25,11 @@ from repro.algorithms.stage_exec import (
     StageContext,
     StageExecutor,
 )
-from repro.algorithms.start_nodes import default_start_count, select_start_nodes
+from repro.algorithms.start_nodes import (
+    default_start_count,
+    ranked_required,
+    select_start_nodes,
+)
 from repro.budget.ocba import (
     StartNodeStats,
     apportion,
@@ -166,14 +170,14 @@ class CBAS(ContextSolver):
         m = self.m if self.m is not None else default_start_count(problem)
         warm = self.warm_state
         starts = (
-            self._warm_start_nodes(problem, warm, m)
+            self._warm_start_nodes(problem, evaluator, warm, m)
             if warm is not None
             else []
         )
         warm_used = bool(starts)
         if not starts:
             if self.start_selection == "random":
-                starts = self._random_starts(problem, m, rng)
+                starts = self._random_starts(problem, evaluator, m, rng)
             else:
                 starts = select_start_nodes(problem, evaluator, m)
         stage_total = self._stage_count(problem, len(starts))
@@ -191,7 +195,7 @@ class CBAS(ContextSolver):
             # instead of burning the whole budget on zero draws.
             warm_used = False
             if self.start_selection == "random":
-                starts = self._random_starts(problem, m, rng)
+                starts = self._random_starts(problem, evaluator, m, rng)
             else:
                 starts = select_start_nodes(problem, evaluator, m)
             stage_total = self._stage_count(problem, len(starts))
@@ -323,7 +327,11 @@ class CBAS(ContextSolver):
     # Warm start (§4.4.1 online re-planning)
     # ------------------------------------------------------------------
     def _warm_start_nodes(
-        self, problem: WASOProblem, warm: CBASWarmState, m: int
+        self,
+        problem: WASOProblem,
+        evaluator: "WillingnessEvaluator | FastWillingnessEvaluator",
+        warm: CBASWarmState,
+        m: int,
     ) -> list:
         """Reuse a previous solve's phase-1 start nodes.
 
@@ -335,7 +343,7 @@ class CBAS(ContextSolver):
         become forbidden are dropped; an empty result makes the caller
         fall back to a cold start ranking.
         """
-        chosen = list(problem.required)
+        chosen = ranked_required(problem, evaluator)
         if len(chosen) >= m:
             return chosen[:m]
         taken = set(chosen)
@@ -445,10 +453,14 @@ class CBAS(ContextSolver):
         return None
 
     def _random_starts(
-        self, problem: WASOProblem, m: int, rng: random.Random
+        self,
+        problem: WASOProblem,
+        evaluator: "WillingnessEvaluator | FastWillingnessEvaluator",
+        m: int,
+        rng: random.Random,
     ) -> list:
         """Ablation mode: start nodes drawn uniformly (required first)."""
-        required = list(problem.required)
+        required = ranked_required(problem, evaluator)
         pool = [n for n in problem.candidates() if n not in problem.required]
         extra = rng.sample(pool, min(max(0, m - len(required)), len(pool)))
         return (required + extra)[: max(1, m)]

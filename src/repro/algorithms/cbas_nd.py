@@ -114,9 +114,6 @@ class CBASND(CBAS):
         starts: list,
         evaluator: "WillingnessEvaluator | FastWillingnessEvaluator",
     ) -> None:
-        # On the compiled engine the vectors live in the compiled int-id
-        # domain: one float slot per graph node, shared index mapping, so
-        # the sampler weights frontier draws by plain list indexing.
         compiled = getattr(evaluator, "compiled", None)
         index_of = compiled.index_of if compiled is not None else None
         warm = self.warm_state
@@ -149,18 +146,13 @@ class CBASND(CBAS):
                 continue
             warm_flags.append(False)
             if template is None:
-                template = SelectionProbabilities(
-                    problem.candidates(),
-                    problem.k,
-                    index_of=index_of,
-                    size=(
-                        compiled.number_of_nodes
-                        if compiled is not None
-                        else None
-                    ),
-                    # The vector engine refits whole float64 arrays; the
-                    # batch kernel reads them zero-copy and the eager
-                    # numpy rounds stay IEEE-identical to the lazy chain.
+                # The vector engine refits whole float64 arrays its batch
+                # kernel reads zero-copy; the compiled engine's sparse
+                # vectors live in the compiled id domain, so the sampler
+                # weights frontier draws by slot, without a dict probe.
+                template = SelectionProbabilities.for_problem(
+                    problem,
+                    compiled,
                     backend=(
                         "numpy"
                         if getattr(evaluator, "is_vector", False)
@@ -192,8 +184,8 @@ class CBASND(CBAS):
         vector = self._vectors[start_index]
         array = vector.array
         if array is not None and sampler.is_compiled:
-            # Array-backed vector + int frontier: each frontier weight is
-            # one list index, no per-slot dict probe.
+            # Compiled-domain vector + int frontier: weights are read by
+            # slot, no per-node dict probe.
             return sampler.draw_batch(
                 seed,
                 rng,

@@ -31,10 +31,16 @@ The fast path mirrors the reference path's neighbour order and RNG
 consumption exactly, so seeded draws — and therefore seeded solver runs —
 produce identical results on either path.  Two further int-domain
 amortizations ride on it: CBAS-ND's frontier weighting can be supplied as
-a flat ``weight_array`` indexed by compiled id (one list index per slot
-instead of a dict probe per node), and :meth:`ExpansionSampler.draw_batch`
-resolves the cached per-seed state once for a whole run of draws from the
-same start node.
+a ``weight_array`` indexed by compiled id — a plain list/ndarray, or the
+sparse CE vector's view, whose ``lookup()`` gives ``(dict.get, base)`` —
+and each frontier entry's weight is gathered once, when the entry joins
+the frontier, into a weights list swap-popped in step with it; and
+:meth:`ExpansionSampler.draw_batch` resolves the cached per-seed state
+once for a whole run of draws from the same start node.
+
+Seed members are expanded in ``repr`` order on both paths, and the seed's
+base willingness is accumulated in that order, so a seeded draw does not
+depend on set iteration order (``PYTHONHASHSEED`` for string node ids).
 """
 
 from __future__ import annotations
@@ -43,7 +49,8 @@ import math
 import random
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
-from itertools import accumulate
+from functools import cached_property, partial
+from itertools import accumulate, repeat
 from typing import NamedTuple, Optional
 
 from repro.core.problem import WASOProblem
@@ -215,30 +222,38 @@ def pick_from_array(
 ) -> int:
     """:func:`weighted_pick` specialized for an int frontier + flat array.
 
-    Gathers the weights with a C-level ``map`` and, when none is
-    negative (always true for CE probability vectors), builds the
-    cumulative sums with ``itertools.accumulate``.  Zero weights add
-    exactly nothing to an IEEE running sum, so the cumulative list — and
-    therefore every pick and the RNG stream — is bit-identical to
-    :func:`weighted_pick` over the same values.  Negative weights are
-    clamped to zero in place — same treatment :func:`weighted_pick`
-    applies — instead of delegating to it, which would rebuild the
-    already-gathered weight list a second time.
+    Gathers the weights with a C-level ``map`` and picks with
+    :func:`_pick_gathered`; the pick and the RNG stream are bit-identical
+    to :func:`weighted_pick` over the same values.
     """
-    weights = list(map(weight_array.__getitem__, frontier))
+    return _pick_gathered(
+        rng, list(map(weight_array.__getitem__, frontier))
+    )
+
+
+def _pick_gathered(rng: random.Random, weights: list) -> int:
+    """Weighted pick over already-gathered frontier weights.
+
+    When no weight is negative (always true for CE probability vectors)
+    the cumulative sums come from ``itertools.accumulate``.  Zero weights
+    add exactly nothing to an IEEE running sum, so the cumulative list —
+    and therefore every pick and the RNG stream — is bit-identical to
+    :func:`weighted_pick`.  Negative weights are clamped to zero on a
+    copy, the same treatment :func:`weighted_pick` applies.
+    """
     if min(weights) < 0.0:
         weights = [weight if weight > 0.0 else 0.0 for weight in weights]
     cumulative = list(accumulate(weights))
     total = cumulative[-1]
     if total <= 0.0:
-        return rng.randrange(len(frontier))
+        return rng.randrange(len(weights))
     threshold = rng.random() * total
     if threshold <= 0.0:
         for index, weight in enumerate(weights):
             if weight > 0.0:
                 return index
     index = bisect_left(cumulative, threshold)
-    return min(index, len(frontier) - 1)  # numerical tail guard
+    return min(index, len(weights) - 1)  # numerical tail guard
 
 
 def seed_for_start(problem: WASOProblem, start: NodeId) -> set[NodeId]:
@@ -273,7 +288,6 @@ class ExpansionSampler:
         self.problem = problem
         self.evaluator = evaluator
         self.graph = problem.graph
-        self._allowed = set(problem.candidates())
         compiled = getattr(evaluator, "compiled", None)
         self._compiled = compiled
         if compiled is not None:
@@ -284,10 +298,10 @@ class ExpansionSampler:
             # untouched this draw.  No per-draw clearing needed.
             self._status = [0] * n
             self._draw_serial = 0
-            allowed_mask = bytearray(n)
+            allowed_mask = bytearray(b"\x01") * n
             index_of = compiled.index_of
-            for node in self._allowed:
-                allowed_mask[index_of[node]] = 1
+            for node in problem.forbidden:
+                allowed_mask[index_of[node]] = 0
             self._allowed_mask = allowed_mask
             self._check_allowed = bool(problem.forbidden)
             # Per-seed cache: (base willingness, seed connected,
@@ -302,6 +316,17 @@ class ExpansionSampler:
             self.vector_fallback_draws = 0
 
     # ------------------------------------------------------------------
+    @cached_property
+    def _allowed(self) -> set:
+        """Allowed nodes as a set: the dict path and WASO-dis frontiers."""
+        return set(self.problem.candidates())
+
+    @staticmethod
+    def _seed_members(seed: Iterable[NodeId]) -> "tuple[set, list]":
+        """The seed as a set and in ``repr`` order (hash-seed independent)."""
+        members = set(seed)
+        return members, sorted(members, key=repr)
+
     @property
     def is_compiled(self) -> bool:
         """True when draws run on the compiled int-indexed kernel."""
@@ -343,14 +368,19 @@ class ExpansionSampler:
                 "on the reference path"
             )
         k = self.problem.k
-        members = set(seed)
+        members, ordered = self._seed_members(seed)
         if len(members) > k:
             return None
-        current = self.evaluator.value(members)
+        # Base willingness, accumulated member by member in seed order.
+        current = 0.0
+        grown: set = set()
+        for node in ordered:
+            current += self.evaluator.add_delta(node, grown)
+            grown.add(node)
 
         frontier: list[NodeId] = []
         in_frontier: set[NodeId] = set()
-        self._extend_frontier(members, members, frontier, in_frontier)
+        self._extend_frontier(ordered, members, frontier, in_frontier)
 
         while len(members) < k:
             if not frontier:
@@ -503,18 +533,27 @@ class ExpansionSampler:
         state = self._seed_cache.get(key)
         if state is not None:
             return state
-        # Copy the seed exactly like the reference path does: the copy's
-        # iteration order is the canonical member order both paths share.
-        members = set(seed)
-        value = self.evaluator.value(members)
+        members, ordered = self._seed_members(key)
         seed_connected = len(members) <= 1 or (
             self.graph.is_connected_subset(members)
         )
         comp = self._compiled
         index_of = comp.index_of
-        # Same member iteration order as the reference path (a copy of the
-        # same seed set) so the frontier fills in the same sequence.
-        member_indices = tuple(index_of[node] for node in members)
+        # Same member order as the reference path, so the frontier fills
+        # in the same sequence.
+        member_indices = tuple(index_of[node] for node in ordered)
+        # The reference path's add_delta chain, off the flat arrays: the
+        # vector engine never builds the row views.
+        offsets, targets, pair_w = comp.offsets, comp.targets, comp.pair_w
+        value = 0.0
+        grown: set = set()
+        for index in member_indices:
+            delta = comp.weighted_interest[index]
+            for slot in range(offsets[index], offsets[index + 1]):
+                if targets[slot] in grown:
+                    delta += pair_w[slot]
+            value += delta
+            grown.add(index)
         member_set = set(member_indices)
         frontier: list[int] = []
         if self.problem.connected:
@@ -568,6 +607,18 @@ class ExpansionSampler:
         frontier = list(seed_frontier)
         for index in frontier:
             status[index] = frontier_token
+        gathered = None
+        if weight_array is not None:
+            # CBAS-ND's array-backed vector: each frontier entry's weight
+            # is gathered once, as it joins, into a list kept parallel to
+            # the frontier (a sparse view reads ``get(slot, base)``).
+            lookup = getattr(weight_array, "lookup", None)
+            if lookup is None:
+                gather = partial(map, weight_array.__getitem__)
+            else:
+                get, base = lookup()
+                gather = lambda ids: map(get, ids, repeat(base))  # noqa: E731
+            gathered = list(gather(frontier))
 
         count = len(member_indices)
         # random.Random.randrange(n) is a validation wrapper around
@@ -585,10 +636,10 @@ class ExpansionSampler:
                 return None
             if uniform:
                 pick = randbelow(len(frontier))
-            elif weight_array is not None:
-                # CBAS-ND's array-backed vector: the frontier already
-                # holds compiled ids, so each weight is one list index.
-                pick = pick_from_array(rng, frontier, weight_array)
+            elif gathered is not None:
+                pick = _pick_gathered(rng, gathered)
+                gathered[pick] = gathered[-1]
+                gathered.pop()
             elif weight_of is not None:
                 weights = [weight_of(nodes[index]) for index in frontier]
                 pick = weighted_pick(rng, frontier, weights)
@@ -614,6 +665,7 @@ class ExpansionSampler:
             # allowed neighbours onto the frontier.  Branch order favours
             # the common untouched-neighbour case.
             delta = weighted_interest[index]
+            joined = len(frontier)
             if connected:
                 if check_allowed:
                     for other, pair in row_edges[index]:
@@ -637,6 +689,8 @@ class ExpansionSampler:
                     if status[other] == member_token:
                         delta += pair
             current += delta
+            if gathered is not None and len(frontier) > joined:
+                gathered.extend(gather(frontier[joined:]))
 
         group = frozenset(map(nodes.__getitem__, member_indices))
         if connected and not seed_connected:

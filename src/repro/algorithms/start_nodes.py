@@ -5,7 +5,15 @@ scores of incident edges, then extracts the ``m`` largest with a heap
 (§3.1; the complexity analysis explicitly mentions the heap).  Required
 attendees are always promoted to start nodes — the user study's
 "with initiator" runs state that CBAS-ND "always chooses the user as a
-start node".
+start node" — ordered among themselves by the same rank, so the start
+list never depends on set iteration order.
+
+On a compiled evaluator the ranking is the graph's cached
+:meth:`~repro.graph.compiled.CompiledGraph.start_order` (built once per
+graph generation): selection walks its prefix and skips required and
+forbidden ids, O(m + |required| + |forbidden|) per solve.  The dict
+evaluator keeps the heap scan over every candidate, the reference the
+compiled path is held to.
 """
 
 from __future__ import annotations
@@ -20,12 +28,32 @@ from repro.core.willingness import (
 )
 from repro.graph.social_graph import NodeId
 
-__all__ = ["select_start_nodes", "default_start_count"]
+__all__ = ["select_start_nodes", "default_start_count", "ranked_required"]
 
 
 def default_start_count(problem: WASOProblem) -> int:
     """The paper's default ``m = ⌈n / k⌉`` (start nodes cover the network)."""
     return max(1, math.ceil(problem.graph.number_of_nodes() / problem.k))
+
+
+def ranked_required(
+    problem: WASOProblem,
+    evaluator: "WillingnessEvaluator | FastWillingnessEvaluator",
+) -> list[NodeId]:
+    """Required attendees by (potential, ``repr``) descending.
+
+    On a compiled evaluator equal keys fall back to ascending compiled
+    id, matching the cached start order exactly.
+    """
+    required = list(problem.required)
+    compiled = getattr(evaluator, "compiled", None)
+    if compiled is not None:
+        required.sort(key=compiled.index_of.__getitem__)
+    return sorted(
+        required,
+        key=lambda node: (evaluator.node_potential(node), repr(node)),
+        reverse=True,
+    )
 
 
 def select_start_nodes(
@@ -36,18 +64,30 @@ def select_start_nodes(
     """Pick ``m`` start nodes by descending node potential.
 
     Node potential is ``a_v·η_v + b_v·Σ τ_vj + Σ b_j·τ_jv`` — the weighted
-    interest plus incident weighted tightness.  Required nodes come first
-    regardless of score.  Returns fewer than ``m`` nodes only when the
-    graph has fewer candidates.  With a :class:`FastWillingnessEvaluator`
-    each potential is an O(1) lookup into the compiled index's
-    precomputed array.
+    interest plus incident weighted tightness; ties break by ``repr``
+    descending.  Required nodes come first regardless of score.  Returns
+    fewer than ``m`` nodes only when the graph has fewer candidates.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    required = [node for node in problem.required]
-    chosen: list[NodeId] = list(required)
+    chosen = ranked_required(problem, evaluator)
     if len(chosen) >= m:
         return chosen[:m]
+
+    compiled = getattr(evaluator, "compiled", None)
+    if compiled is not None:
+        index_of = compiled.index_of
+        skip = {index_of[node] for node in problem.required}
+        skip.update(index_of[node] for node in problem.forbidden)
+        # At most |skip| entries of the prefix are skipped.
+        prefix = compiled.start_order()[: m - len(chosen) + len(skip)]
+        nodes = compiled.nodes
+        for index in prefix.tolist():
+            if index not in skip:
+                chosen.append(nodes[index])
+                if len(chosen) == m:
+                    break
+        return chosen
 
     taken = set(chosen)
     scored = (

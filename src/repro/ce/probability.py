@@ -14,19 +14,17 @@ optimal importance-sampling density.  A smoothing step
 
 Array layout and id-domain contract
 -----------------------------------
-The vector is stored as one flat ``list[float]`` plus an id mapping, in
-one of two domains:
+A vector has one slot per id in one of two domains:
 
 * **Compiled domain** — constructed with ``index_of=`` (the
   :attr:`~repro.graph.compiled.CompiledGraph.index_of` mapping of the
-  problem's frozen index, shared, never copied): the array has one slot
-  per *graph* node, indexed by compiled int id.  :attr:`array` then
-  exposes the raw list so the fast sampler can weight a frontier draw
-  with plain list indexing (``array[frontier_id]``, no per-slot dict
-  probe) and the elite refit can count membership straight off
+  problem's frozen index, shared, never copied) or by
+  :meth:`SelectionProbabilities.for_problem`: one slot per *graph* node,
+  indexed by compiled int id.  :attr:`array` then exposes a read-only
+  slot view the fast sampler weights frontier draws with, and the elite
+  refit counts membership straight off
   :attr:`~repro.algorithms.sampling.Sample.indices`.  Slots of
-  non-candidate (forbidden) nodes stay ``0.0`` and are never touched by
-  the update.
+  non-candidate (forbidden) nodes read ``0.0``.
 * **Local domain** — the default (reference engine, hand-built tests):
   slots are candidate positions in input order and
   :meth:`probability` probes a node→slot dict.  :attr:`array` is ``None``.
@@ -37,27 +35,23 @@ solver runs — are bit-identical whichever domain backs the vector.
 :meth:`as_dict` is the thin dict view in either domain; the execution
 stack itself never converts back to node ids mid-solve.
 
-Lazy decay
-----------
-The smoothing step multiplies *every* slot by ``1 − w`` each stage; only
-the ≤ k·|elites| elite-touched slots get the full Eq. (4) formula.  The
-refit therefore records the uniform decay as a pending *round* (the keep
-factor is appended to an internal list) in O(touched) time instead of
-rewriting the whole O(n) array, and true values are materialized only on
-read/draw — :attr:`array` (the fast sampler borrows it once per batch),
-:meth:`probability`, :meth:`snapshot`, :meth:`as_dict`, ….
-
-Materialization is **exact**, not a folded scale factor: each slot
-remembers how many rounds are already folded into it, and catching up
-applies the pending keep factors as the same left-to-right chain of
-multiplications the historical eager comprehension performed
-(``((p·k₁)·k₂)·…``).  A single accumulated product ``p·(k₁·k₂·…)`` would
-drift from the eager path in the last ulp and flip quantile-threshold
-comparisons downstream; the factored chain keeps lazily-materialized
-values — and therefore seeded draws on both engines — bit-identical to
-the eager implementation.  A vector that is refitted but never read again
-(pruned or unfunded start nodes, the coordinator side of a stage-sharded
-solve) never pays the O(n) pass at all.
+Sparse form
+-----------
+Every candidate slot no elite sample has touched holds the same value:
+the prior ``(k − 1)/|V|`` decayed by each round's ``1 − w``.  The
+``"list"`` backend stores it once as the scalar ``base``, plus a dict of
+the slots that differ (elite-touched slots, ``0.0`` non-candidates).  A
+refit round is O(|touched|): the dict values and ``base`` are multiplied
+by the keep factor, then the round's elite slots get the Eq. (4)
+formula.  ``base`` goes through exactly the left-to-right chain
+``((p·k₁)·k₂)·…`` an eager pass applies to each slot, so every value is
+bit-identical to the dense implementation (a folded scale factor
+``p·(k₁·k₂·…)`` would drift in the last ulp and flip quantile-threshold
+comparisons).  Reads are one dict probe; only :meth:`snapshot`,
+:meth:`as_dict`, :meth:`kl_distance` and the ``compute_movement=True``
+refit densify, through ``_materialize_all``.  The ``"numpy"`` backend
+(vector engine) keeps an eager dense array its batch kernel reads
+zero-copy.
 
 Sharded stage merge
 -------------------
@@ -77,7 +71,8 @@ re-shipping the O(n) array.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections import Counter
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -101,6 +96,31 @@ def elite_threshold(willingness_values: Sequence[float], rho: float) -> float:
     return ordered[rank - 1]
 
 
+class _SparseView:
+    """Live read-only slot view (``len``, ``view[slot]``) of a sparse
+    compiled-domain vector; :meth:`lookup` hands the fast sampler the raw
+    ``(dict.get, base)`` pair for C-level ``map`` gathers."""
+
+    __slots__ = ("_vector",)
+
+    def __init__(self, vector: "SelectionProbabilities") -> None:
+        self._vector = vector
+
+    def __len__(self) -> int:
+        return self._vector._size
+
+    def __getitem__(self, slot: int) -> float:
+        vector = self._vector
+        if not 0 <= slot < vector._size:
+            raise IndexError(f"slot {slot} out of range")
+        return vector._touched.get(slot, vector._base)
+
+    def lookup(self) -> "tuple[Callable[..., float], float]":
+        """``(get, default)``: ``get(slot, default)`` reads one slot."""
+        vector = self._vector
+        return vector._touched.get, vector._base
+
+
 class SelectionProbabilities:
     """One start node's node-selection probability vector ``p_i``.
 
@@ -120,26 +140,25 @@ class SelectionProbabilities:
         Array length for the compiled domain (defaults to
         ``len(index_of)``, i.e. one slot per graph node).
     backend:
-        ``"list"`` (default) stores ``_p`` as a plain list with the lazy
-        decay-round machinery; ``"numpy"`` (the vector engine) stores a
+        ``"list"`` (default) keeps the sparse form of the module
+        docstring; ``"numpy"`` (the vector engine) stores a dense
         float64 ndarray and applies every refit round eagerly with one
-        vectorized multiply — the decay chain then has one factor per
-        round applied left-to-right, so per-slot values stay
-        IEEE-identical to the lazy chain.  The numpy backend never books
-        pending rounds, which makes every materialization path a no-op.
+        vectorized multiply — one factor per round, left to right, so
+        per-slot values stay IEEE-identical to the sparse form.
+
+    :meth:`for_problem` builds the vector a solver needs without listing
+    the candidates — O(|forbidden|) in the compiled domain.
     """
 
     __slots__ = (
         "_p",
-        "_backend",
-        "_age",
-        "_keeps",
-        "_stale_rounds",
-        "_last_touched",
-        "_slot_materialized",
+        "_touched",
+        "_base",
+        "_size",
+        "_view",
         "_index_of",
         "_candidates",
-        "_candidate_ids",
+        "_excluded",
         "index_map",
         "gamma",
     )
@@ -153,128 +172,118 @@ class SelectionProbabilities:
         size: "int | None" = None,
         backend: str = "list",
     ) -> None:
+        nodes = list(candidates)
+        if index_of is None:
+            slot_of = {node: slot for slot, node in enumerate(nodes)}
+            length = len(nodes)
+        else:
+            slot_of = index_of
+            length = len(index_of) if size is None else size
+        slots = [slot_of[node] for node in nodes]
+        zero = set(range(length)).difference(slots)
+        self._setup(k, len(nodes), index_of, slot_of, length, zero, backend)
+        self._candidates = list(zip(nodes, slots))
+        self._excluded = None
+
+    @classmethod
+    def for_problem(
+        cls, problem, compiled=None, *, backend: str = "list"
+    ) -> "SelectionProbabilities":
+        """The homogeneous prior over ``problem``'s candidates.
+
+        With a ``compiled`` index the vector lives in its id domain and
+        construction visits only the forbidden slots (the candidate order,
+        compiled node order minus forbidden, is derived on demand);
+        without one it is the local-domain vector.  Values equal the
+        constructor's bit for bit.
+        """
+        if compiled is None:
+            return cls(problem.candidates(), problem.k, backend=backend)
+        index_of = compiled.index_of
+        excluded = problem.forbidden
+        zero = {index_of[node] for node in excluded}
+        size = compiled.number_of_nodes
+        vector = cls.__new__(cls)
+        vector._setup(problem.k, size - len(zero), index_of, index_of,
+                      size, zero, backend)
+        vector._candidates = None
+        vector._excluded = excluded
+        return vector
+
+    def _setup(self, k, count, index_map, index_of, size, zero, backend):
         if backend not in ("list", "numpy"):
             raise ValueError(
                 f"backend must be 'list' or 'numpy', got {backend!r}"
             )
-        nodes = list(candidates)
-        if not nodes:
+        if count < 1:
             raise ValueError("need at least one candidate node")
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
-        initial = min(1.0, (k - 1) / len(nodes)) if len(nodes) > 1 else 1.0
+        initial = min(1.0, (k - 1) / count) if count > 1 else 1.0
         if initial <= 0.0:
-            initial = 1.0 / len(nodes)
-        if index_of is None:
-            #: identity of the shared compiled mapping (None = local domain)
-            self.index_map = None
-            self._index_of = {node: slot for slot, node in enumerate(nodes)}
-            length = len(nodes)
-        else:
-            self.index_map = index_of
-            self._index_of = index_of
-            length = len(index_of) if size is None else size
-        self._candidates = nodes
-        self._candidate_ids = [self._index_of[node] for node in nodes]
-        self._backend = backend
+            initial = 1.0 / count
+        #: identity of the shared compiled mapping (None = local domain)
+        self.index_map = index_map
+        self._index_of = index_of
+        self._size = size
+        self._view = None
         if backend == "numpy":
-            p = np.zeros(length, dtype=np.float64)
-            p[self._candidate_ids] = initial
+            p = np.full(size, initial, dtype=np.float64)
+            if zero:
+                p[np.fromiter(zero, dtype=np.int64, count=len(zero))] = 0.0
             self._p = p
+            self._touched = None
+            self._base = None
         else:
-            p = [0.0] * length
-            for slot in self._candidate_ids:
-                p[slot] = initial
-            self._p = p
-        # Lazy-decay bookkeeping: _keeps[r] is the keep factor of refit
-        # round r, _age[slot] the number of rounds already folded into
-        # _p[slot].  _stale_rounds / _last_touched / _slot_materialized
-        # exist only to keep the common one-pending-round full
-        # materialization on the C-level comprehension fast path.
-        self._age = [0] * length
-        self._keeps: list[float] = []
-        self._stale_rounds = 0
-        self._last_touched: tuple = ()
-        self._slot_materialized = False
+            self._p = None
+            self._base = initial
+            self._touched = dict.fromkeys(zero, 0.0)
         self.gamma = -math.inf  # monotone elite threshold (pseudo-code 36-39)
 
     # ------------------------------------------------------------------
-    # Lazy materialization
-    # ------------------------------------------------------------------
-    def _materialize_slot(self, slot: int) -> float:
-        """Fold pending decay rounds into one slot (exact factored chain)."""
-        keeps = self._keeps
-        rounds = len(keeps)
-        age = self._age[slot]
-        value = self._p[slot]
-        if age != rounds:
-            while age < rounds:
-                value *= keeps[age]
-                age += 1
-            self._p[slot] = value
-            self._age[slot] = rounds
-            self._slot_materialized = True
-        return value
+    def _candidate_slots(self) -> "list[tuple[NodeId, int]]":
+        """``(node, slot)`` per candidate, in candidate order."""
+        if self._candidates is None:
+            excluded = self._excluded
+            self._candidates = [
+                (node, slot)
+                for node, slot in self._index_of.items()
+                if node not in excluded
+            ]
+        return self._candidates
 
-    def _materialize_all(self) -> None:
-        """Fold pending decay rounds into every slot.
+    def _materialize_all(self) -> "list[float] | np.ndarray":
+        """The dense array (a fresh list, or the numpy backend's own)."""
+        if self._p is not None:
+            return self._p
+        dense = [self._base] * self._size
+        for slot, value in self._touched.items():
+            dense[slot] = value
+        return dense
 
-        The common case — exactly one pending round and no slot read
-        since — decays the whole array with one C-level comprehension and
-        restores the round's touched slots (which are already current),
-        reproducing the historical eager pass bit-for-bit.  Mixed ages
-        (several pending rounds, or interleaved per-slot reads) fall back
-        to the per-slot factored chain, which is equally exact.
-        """
-        if not self._stale_rounds:
-            return
-        p = self._p
-        keeps = self._keeps
-        rounds = len(keeps)
-        if self._stale_rounds == 1 and not self._slot_materialized:
-            keep = keeps[-1]
-            saved = [(slot, p[slot]) for slot in self._last_touched]
-            p[:] = [keep * value for value in p]
-            for slot, value in saved:
-                p[slot] = value
-        else:
-            ages = self._age
-            for slot, age in enumerate(ages):
-                if age == rounds:
-                    continue
-                value = p[slot]
-                while age < rounds:
-                    value *= keeps[age]
-                    age += 1
-                p[slot] = value
-        self._age = [rounds] * len(p)
-        self._stale_rounds = 0
-        self._last_touched = ()
-        self._slot_materialized = False
-
-    # ------------------------------------------------------------------
     @property
-    def array(self) -> "list[float] | None":
-        """Compiled-id-indexed weight array (``None`` in the local domain).
+    def array(self) -> "_SparseView | np.ndarray | None":
+        """Compiled-id-indexed slot values (``None`` in the local domain).
 
-        Pending decay rounds are materialized on access, so the fast
-        sampler can hand the returned list straight to its frontier draw;
-        the list object is mutated in place by the refit so a borrowed
-        reference stays current within one stage.
+        The live sparse view (one object per vector) or the numpy
+        backend's dense array; refits update either in place.
         """
         if self.index_map is None:
             return None
-        self._materialize_all()
-        return self._p
+        if self._p is not None:
+            return self._p
+        if self._view is None:
+            self._view = _SparseView(self)
+        return self._view
 
     def probability(self, node: NodeId) -> float:
         """Current selection probability of ``node`` (0 if unknown)."""
         slot = self._index_of.get(node)
         if slot is None:
             return 0.0
-        if self._age[slot] != len(self._keeps):
-            return self._materialize_slot(slot)
-        return self._p[slot]
+        if self._p is not None:
+            return self._p[slot]
+        return self._touched.get(slot, self._base)
 
     __call__ = probability
 
@@ -284,8 +293,10 @@ class SelectionProbabilities:
             slot = self._index_of[node]
         except KeyError:
             raise KeyError(f"{node!r} is not in this vector's domain") from None
-        self._materialize_all()
-        self._p[slot] = value
+        if self._p is not None:
+            self._p[slot] = value
+        else:
+            self._touched[slot] = value
 
     def reset_threshold(self) -> None:
         """Forget the monotone elite threshold ``γ`` (keep probabilities).
@@ -311,36 +322,25 @@ class SelectionProbabilities:
     def replicate(self) -> "SelectionProbabilities":
         """Independent copy sharing the (read-only) domain metadata.
 
-        CBAS-ND keeps one vector per start node over the same candidate
-        set; replicating a freshly-built template gives each start its
-        own probability array without re-deriving the candidate→slot
-        mapping m times.
+        CBAS-ND replicates one template per start node: O(|touched|).
         """
         clone = SelectionProbabilities.__new__(SelectionProbabilities)
         clone.index_map = self.index_map
         clone._index_of = self._index_of
         clone._candidates = self._candidates
-        clone._candidate_ids = self._candidate_ids
-        clone._backend = self._backend
-        clone._p = (
-            self._p.copy() if self._backend == "numpy" else list(self._p)
-        )
-        clone._age = list(self._age)
-        clone._keeps = list(self._keeps)
-        clone._stale_rounds = self._stale_rounds
-        clone._last_touched = tuple(self._last_touched)
-        clone._slot_materialized = self._slot_materialized
+        clone._excluded = self._excluded
+        clone._size = self._size
+        clone._view = None
+        clone._p = None if self._p is None else self._p.copy()
+        clone._touched = None if self._touched is None else dict(self._touched)
+        clone._base = self._base
         clone.gamma = self.gamma
         return clone
 
     def as_dict(self) -> dict[NodeId, float]:
         """Dict view ``{candidate: probability}`` (candidate input order)."""
-        self._materialize_all()
-        p = self._p
-        return {
-            node: p[slot]
-            for node, slot in zip(self._candidates, self._candidate_ids)
-        }
+        p = self._materialize_all()
+        return {node: p[slot] for node, slot in self._candidate_slots()}
 
     # ------------------------------------------------------------------
     def update(
@@ -363,12 +363,10 @@ class SelectionProbabilities:
         for reference-path samples.
 
         ``compute_movement=False`` (the default CBAS-ND configuration —
-        no backtracking) applies the refit lazily: the uniform ``(1−w)``
-        decay is recorded as a pending round in O(touched) time and
-        materialized on the next read/draw.  ``compute_movement=True``
+        no backtracking) costs O(touched slots); ``compute_movement=True``
         needs the full old/new arrays for the O(n) squared-distance
-        accumulation, so it materializes eagerly first.  The probability
-        values any later read observes are bit-identical either way.
+        accumulation.  The probability values are bit-identical either
+        way.
         """
         if not 0.0 < rho <= 1.0:
             raise ValueError(f"rho must lie in (0, 1], got {rho}")
@@ -394,18 +392,18 @@ class SelectionProbabilities:
         counts: dict[int, int] = {}
         if (
             compiled_domain
-            and self._backend == "numpy"
+            and self._p is not None
             and all(sample.indices is not None for sample in elites)
         ):
-            # Vector engine: one bincount over the concatenated elite
-            # member indices replaces the per-member dict increments.
+            # Vector engine: one np.unique over the concatenated elite
+            # member indices replaces the per-member dict increments
+            # (sorted slots, so the dict order matches a bincount scan).
             flat = np.fromiter(
                 (slot for sample in elites for slot in sample.indices),
                 dtype=np.int64,
             )
-            binned = np.bincount(flat, minlength=len(self._p))
-            for slot in np.nonzero(binned)[0]:
-                counts[int(slot)] = int(binned[slot])
+            slots, hits = np.unique(flat, return_counts=True)
+            counts = dict(zip(slots.tolist(), hits.tolist()))
         else:
             for sample in elites:
                 indices = sample.indices if compiled_domain else None
@@ -459,124 +457,109 @@ class SelectionProbabilities:
     ) -> "tuple[tuple, float]":
         """Shared Eq. (4) + smoothing arithmetic; returns (patch, movement).
 
-        Eq. (4) + smoothing, restructured around the elite-touched
-        slots: an untouched slot's elite frequency is 0, so its new
-        value is exactly ``(1 − w) · old`` (``w·0.0 + x == x`` in IEEE
-        arithmetic) — recorded as a pending decay round (lazy) or applied
-        with one C-level comprehension (eager, movement path) — while
-        only the ≤ k·|elites| touched slots get the full formula.
-        Per-slot values are bit-identical to the naive full loop; the
-        movement sum groups the untouched term as ``w² · Σ old²``.
-        Touched slots are visited in sorted (slot) order so the movement
-        is independent of how membership was counted (int ids vs node-id
-        translation vs shard aggregation).
+        An untouched slot's elite frequency is 0, so its new value is
+        exactly ``(1 − w) · old`` (``w·0.0 + x == x`` in IEEE arithmetic)
+        — the round's uniform decay — while only the ≤ k·|elites|
+        touched slots get the full formula.  Per-slot values are
+        bit-identical to the naive full loop; the movement sum groups the
+        untouched term as ``w² · Σ old²`` over the dense old array in
+        slot order.  Touched slots are visited in sorted (slot) order so
+        the result is independent of how membership was counted (int ids
+        vs node-id translation vs shard aggregation).
         """
         if not 0.0 <= smoothing <= 1.0:
             raise ValueError(
                 f"smoothing weight must lie in [0, 1], got {smoothing}"
             )
         keep = 1.0 - smoothing
-        numpy_backend = self._backend == "numpy"
-        if not compute_movement:
-            slot_values = []
-            for slot in sorted(counts):
-                old = self._materialize_slot(slot)
-                new = smoothing * (counts[slot] / size) + keep * old
-                # Plain Python floats keep the patch tuples cheap to
-                # pickle whichever backend produced them.
-                slot_values.append((slot, float(new)))
-            patch = ("round", keep, tuple(slot_values))
-            self._record_round(keep, slot_values)
-            return patch, 0.0
-
-        self._materialize_all()
-        p = self._p
-        old_touched = {slot: float(p[slot]) for slot in counts}
-        if numpy_backend:
-            # Movement is a convergence control signal, not a sampled
-            # quantity — the dot product's pairwise summation is fine.
-            total_sq = float(np.dot(p, p))
-            p *= keep
+        if compute_movement:
+            dense = self._materialize_all()
+            if self._p is not None:
+                # Movement is a convergence control signal, not a sampled
+                # quantity — the dot product's pairwise summation is fine.
+                total_sq = float(np.dot(dense, dense))
+            else:
+                total_sq = sum([value * value for value in dense])
+            read = dense.__getitem__
+        elif self._p is not None:
+            read = self._p.__getitem__
         else:
-            total_sq = sum([value * value for value in p])
-            p[:] = [keep * value for value in p]
+            touched, base = self._touched, self._base
+            read = lambda slot: touched.get(slot, base)  # noqa: E731
         touched_sq = 0.0
         touched_term = 0.0
         slot_values = []
         for slot in sorted(counts):
-            old = old_touched[slot]
+            old = read(slot)
+            # Plain Python floats keep the patch tuples cheap to pickle
+            # whichever backend produced them.
+            old = float(old)
             new = smoothing * (counts[slot] / size) + keep * old
-            p[slot] = new
             slot_values.append((slot, new))
-            touched_sq += old * old
-            touched_term += (new - old) ** 2
-        # The decay was applied in place: record no pending round, but
-        # still hand the caller the patch a mirror needs to replay it.
-        movement = smoothing * smoothing * (total_sq - touched_sq) + touched_term
+            if compute_movement:
+                touched_sq += old * old
+                touched_term += (new - old) ** 2
+        self._record_round(keep, slot_values)
+        movement = 0.0
+        if compute_movement:
+            movement = (
+                smoothing * smoothing * (total_sq - touched_sq) + touched_term
+            )
         return ("round", keep, tuple(slot_values)), movement
 
     def _record_round(self, keep: float, slot_values: Sequence[tuple]) -> None:
-        """Book one pending decay round + its touched-slot overwrites."""
-        if self._backend == "numpy":
-            # Eager application: one vectorized multiply per round keeps
-            # the per-slot decay chain (left-to-right factor order)
-            # IEEE-identical to the lazy path, with no pending rounds to
-            # materialize later.
+        """Apply one refit round: uniform decay, then the touched slots."""
+        if self._p is not None:
             p = self._p
             p *= keep
             for slot, value in slot_values:
                 p[slot] = value
             return
-        self._keeps.append(keep)
-        rounds = len(self._keeps)
-        if self._stale_rounds == 0:
-            self._last_touched = tuple(slot for slot, _ in slot_values)
-            self._slot_materialized = False
-        self._stale_rounds += 1
-        p = self._p
-        age = self._age
+        touched = {slot: keep * value for slot, value in self._touched.items()}
         for slot, value in slot_values:
-            p[slot] = value
-            age[slot] = rounds
+            touched[slot] = value
+        self._touched = touched
+        self._base = keep * self._base
 
     def apply_round(self, keep: float, slot_values: Sequence[tuple]) -> None:
         """Replay a refit round produced by another vector instance.
 
         Stage-pool workers hold a mirror of each start node's vector and
         keep it synchronized by replaying the parent's round patches
-        (``keep`` + the touched ``(slot, value)`` pairs).  The pending
-        decay is recorded exactly like the parent's, so a mirror's lazily
-        materialized values stay bit-identical to the parent's.
+        (``keep`` + the touched ``(slot, value)`` pairs); the mirror's
+        values stay bit-identical to the parent's.
         """
-        self._record_round(keep, list(slot_values))
+        self._record_round(keep, slot_values)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> list[float]:
-        """Materialized copy of the flat array (backtracking, full resync)."""
-        self._materialize_all()
-        if self._backend == "numpy":
+        """Dense copy of the flat array (backtracking, full resync)."""
+        if self._p is not None:
             return self._p.tolist()
-        return list(self._p)
+        return self._materialize_all()
 
     def restore(self, snapshot: Sequence[float]) -> None:
         """Reset the vector to a previous :meth:`snapshot` (or any full array).
 
         Restores in place so borrowed :attr:`array` references (the fast
-        sampler holds one during a stage) stay valid.  The installed
-        values are taken as fully materialized: pending decay rounds are
-        considered folded in.
+        sampler holds one during a stage) stay valid.  The sparse backend
+        takes the array's most common value as its new ``base``.
         """
-        if len(snapshot) != len(self._p):
+        if len(snapshot) != self._size:
             raise ValueError(
                 f"snapshot length {len(snapshot)} does not match "
-                f"vector length {len(self._p)}"
+                f"vector length {self._size}"
             )
-        self._p[:] = snapshot
-        rounds = len(self._keeps)
-        self._age = [rounds] * len(self._p)
-        self._stale_rounds = 0
-        self._last_touched = ()
-        self._slot_materialized = False
+        if self._p is not None:
+            self._p[:] = snapshot
+            return
+        base = Counter(snapshot).most_common(1)[0][0]
+        self._touched = {
+            slot: value
+            for slot, value in enumerate(snapshot)
+            if value != base
+        }
+        self._base = base
 
     def kl_distance(self, other: "SelectionProbabilities") -> float:
         """Bernoulli-factorized KL distance between two vectors.
@@ -588,12 +571,12 @@ class SelectionProbabilities:
         def _clamp(x: float) -> float:
             return min(1.0 - 1e-12, max(1e-12, x))
 
-        self._materialize_all()
-        p_arr = self._p
+        p_arr = self._materialize_all()
         total = 0.0
-        for node, slot in zip(self._candidates, self._candidate_ids):
+        for node, slot in self._candidate_slots():
             p = _clamp(p_arr[slot])
             q = _clamp(other.probability(node))
             total += p * math.log(p / q)
             total += (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
         return total
+

@@ -31,7 +31,9 @@ arrays:
 * ``out_w`` — the directed contribution ``b_u·τ_uv`` (used by full
   re-evaluation, which mirrors the reference accumulation order);
 * ``potential`` — the CBAS phase-1 start-node ranking score
-  ``a_i·η_i + Σ pair_w``, precomputed so ranking is an array lookup.
+  ``a_i·η_i + Σ pair_w``, precomputed so ranking is an array lookup;
+  :meth:`CompiledGraph.start_order` ranks every id by it once per
+  generation, so phase 1 reads only a prefix of the ranking.
 
 The index is built in one pass over the adjacency dicts, is reused across
 repeated solves and re-planning rounds on the same graph (it is cached on
@@ -65,6 +67,8 @@ from __future__ import annotations
 
 import itertools
 import os
+
+import numpy as np
 
 from repro.exceptions import (
     DuplicateNodeError,
@@ -150,6 +154,7 @@ class CompiledGraph:
         "_row_id_edges",
         "_component_sizes",
         "_component_labels",
+        "_start_order",
     )
 
     def __init__(
@@ -206,6 +211,7 @@ class CompiledGraph:
         self._row_id_edges: "list | None" = None
         self._component_sizes: "list[int] | None" = None
         self._component_labels: "list[int] | None" = None
+        self._start_order: "np.ndarray | None" = None
         # An in-memory freeze warms the row views now, at compile time —
         # the sampler's first draw must not pay the O(V+E) build.  Only
         # mmap-backed loads (constructed via ``__new__`` in
@@ -360,6 +366,37 @@ class CompiledGraph:
             self._compute_components()
         return self._component_labels
 
+    def start_order(self) -> np.ndarray:
+        """Every compiled id in CBAS phase-1 rank order (int64 array).
+
+        Ranked by potential descending, then ``repr(node)`` descending,
+        then id ascending — exactly the order ``heapq.nlargest`` over
+        ``(potential, repr)`` keys yields on the node list.  Built once
+        per generation (:meth:`apply_deltas` drops it) with a stable
+        numpy argsort plus a ``repr`` re-sort of each run of tied
+        potentials; it is not pickled.
+        """
+        order = self._start_order
+        if order is None:
+            potential = np.asarray(self.potential, dtype=np.float64)
+            order = np.argsort(-potential, kind="stable")
+            ranked = potential[order]
+            ties = np.flatnonzero(ranked[1:] == ranked[:-1])
+            if ties.size:
+                nodes = self.nodes
+                key = lambda index: repr(nodes[index])  # noqa: E731
+                # Each run of equal potentials is order[first:last], its
+                # ids ascending (stable sort); a reverse sort by repr
+                # keeps them ascending among equal reprs.
+                starts = ties[np.r_[True, ties[1:] != ties[:-1] + 1]]
+                ends = ties[np.r_[ties[1:] != ties[:-1] + 1, True]] + 2
+                for first, last in zip(starts.tolist(), ends.tolist()):
+                    order[first:last] = sorted(
+                        order[first:last].tolist(), key=key, reverse=True
+                    )
+            self._start_order = order
+        return order
+
     def _compute_components(self) -> None:
         n = len(self.nodes)
         sizes = [0] * n
@@ -428,6 +465,7 @@ class CompiledGraph:
         """
         if self._mmaps:
             self._materialize()
+        self._start_order = None
         source = self.graph if isinstance(self.graph, SocialGraph) else None
         batch = [self._normalize_delta(op, source) for op in deltas]
         applied: list = []
@@ -790,6 +828,7 @@ class CompiledGraph:
         self.disk_home = None
         self._mmaps = ()
         self.generation = 0
+        self._start_order = None
         for name, value in state.items():
             setattr(self, name, value)
         # The replay log does not travel: an unpickled copy starts its
@@ -903,6 +942,7 @@ class CompiledGraph:
         self._row_targets = None
         self._row_edges = None
         self._row_id_edges = None
+        self._start_order = None
         for mapped in maps:
             try:
                 mapped.close()
@@ -926,6 +966,9 @@ class CompiledGraph:
         for name in self.__slots__:
             if name != "graph":
                 setattr(clone, name, getattr(self, name))
+        # A shared ranking would go stale in the clone once this
+        # instance is patched (apply_deltas drops only its own).
+        clone._start_order = None
         clone.graph = ArrayBackedGraph(clone)
         return clone
 

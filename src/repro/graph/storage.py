@@ -355,5 +355,6 @@ def load_compiled(path: PathLike, mmap: bool = True, verify: bool = True):
     compiled._row_targets = None
     compiled._row_edges = None
     compiled._row_id_edges = None
+    compiled._start_order = None
     compiled.graph = ArrayBackedGraph(compiled)
     return compiled

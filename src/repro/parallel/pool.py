@@ -161,11 +161,9 @@ class _WorkerSolveState:
             # Bit-identical to the parent's cold vectors: same candidate
             # order (compiled node order minus forbidden), same k, same
             # rebuilt index_of.  Warm vectors ship their arrays.
-            template = SelectionProbabilities(
-                problem.candidates(),
-                problem.k,
-                index_of=compiled.index_of,
-                size=compiled.number_of_nodes,
+            template = SelectionProbabilities.for_problem(
+                problem,
+                compiled,
                 backend="numpy" if self.engine == "vector" else "list",
             )
             vectors = []

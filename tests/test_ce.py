@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.sampling import Sample
 from repro.ce.convergence import BacktrackController
@@ -294,12 +296,12 @@ class TestBacktrackController:
 
 
 class TestLazyDecay:
-    """The lazily-applied (1−w) decay must equal the eager pass bitwise.
+    """The sparse form's (1−w) decay must equal the eager pass bitwise.
 
     The eager reference below replays the historical implementation:
     every update multiplies the whole array by ``keep`` with one
-    comprehension, then overwrites the touched slots.  The lazy path
-    (compute_movement=False) must materialize to the exact same floats —
+    comprehension, then overwrites the touched slots.  The sparse path
+    (compute_movement=False) must produce the exact same floats —
     successive factored multiplies, never an accumulated scale product.
     """
 
@@ -409,3 +411,175 @@ class TestLazyDecay:
             for start, vector in compiled.last_warm_state.vectors.items():
                 twin = reference.last_warm_state.vectors[start]
                 assert vector.as_dict() == twin.as_dict()
+
+
+_LENGTH = 12
+
+_vector_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("round"),
+            st.sampled_from([0.9, 0.7, 0.5, 1.0, 0.0]),
+            st.lists(st.integers(0, 63), min_size=1, max_size=5),
+            st.integers(1, 4),
+            st.booleans(),
+        ),
+        st.tuples(st.just("read"), st.integers(0, 63)),
+        st.tuples(st.just("replicate")),
+        st.tuples(st.just("snapshot")),
+        st.tuples(st.just("restore")),
+        st.tuples(
+            st.just("set"),
+            st.integers(0, 63),
+            st.sampled_from([0.0, 0.25, 0.5, 1.0, 1e-300]),
+        ),
+    ),
+    max_size=25,
+)
+
+
+class TestSparseFormProperties:
+    """Generated interleavings against a dense eager model.
+
+    The model is :meth:`TestLazyDecay._eager_reference` unrolled so reads,
+    replicas, snapshots, hand-set slots and non-candidate (forbidden)
+    slots can interleave with the refit rounds; a mirror vector replays
+    every round patch the way pool workers do.
+    """
+
+    @staticmethod
+    def _model_round(model, smoothing, counts, size):
+        keep = 1.0 - smoothing
+        old = {slot: model[slot] for slot in counts}
+        total_sq = sum([value * value for value in model])
+        model[:] = [keep * value for value in model]
+        touched_sq = 0.0
+        touched_term = 0.0
+        for slot in sorted(counts):
+            new = smoothing * (counts[slot] / size) + keep * old[slot]
+            model[slot] = new
+            touched_sq += old[slot] * old[slot]
+            touched_term += (new - old[slot]) ** 2
+        return smoothing * smoothing * (total_sq - touched_sq) + touched_term
+
+    @pytest.mark.parametrize("backend", ["list", "numpy"])
+    @given(
+        candidates=st.sets(
+            st.integers(0, _LENGTH - 1), min_size=1, max_size=_LENGTH
+        ),
+        k=st.integers(1, 5),
+        ops=_vector_ops,
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_dense_model(self, backend, candidates, k, ops):
+        slots = sorted(candidates)
+        index_of = {slot: slot for slot in range(_LENGTH)}
+
+        def build():
+            return SelectionProbabilities(
+                slots, k, index_of=index_of, backend=backend
+            )
+
+        vector, mirror = build(), build()
+        count = len(slots)
+        initial = min(1.0, (k - 1) / count) if count > 1 else 1.0
+        if initial <= 0.0:
+            initial = 1.0 / count
+        model = [initial if slot in candidates else 0.0 for slot in range(_LENGTH)]
+        saved = None
+        for op in ops:
+            kind = op[0]
+            if kind == "round":
+                _, smoothing, raw, size, movement_on = op
+                counts = {}
+                for value in raw:
+                    slot = slots[value % count]
+                    counts[slot] = min(size, counts.get(slot, 0) + 1)
+                want = self._model_round(model, smoothing, counts, size)
+                patch, movement = vector.update_from_counts(
+                    counts, size, smoothing, compute_movement=movement_on
+                )
+                if not movement_on:
+                    assert movement == 0.0
+                elif backend == "list":
+                    assert movement == want
+                else:
+                    # The numpy backend sums Σ old² with np.dot (pairwise).
+                    assert movement == pytest.approx(want, rel=1e-12)
+                mirror.apply_round(patch[1], patch[2])
+            elif kind == "read":
+                slot = op[1] % _LENGTH
+                assert vector.probability(slot) == model[slot]
+                assert vector.array[slot] == model[slot]
+            elif kind == "replicate":
+                vector = vector.replicate()
+            elif kind == "snapshot":
+                saved = vector.snapshot()
+                assert saved == model
+            elif kind == "restore" and saved is not None:
+                vector.restore(saved)
+                mirror.restore(saved)
+                model = list(saved)
+            elif kind == "set":
+                slot = slots[op[1] % count]
+                vector.set_probability(slot, op[2])
+                mirror.set_probability(slot, op[2])
+                model[slot] = op[2]
+        assert vector.snapshot() == model
+        assert mirror.snapshot() == model
+        assert len(vector.array) == _LENGTH
+        assert [vector.array[slot] for slot in range(_LENGTH)] == model
+        assert vector.as_dict() == {slot: model[slot] for slot in slots}
+
+    @given(
+        rounds=st.lists(
+            st.tuples(
+                st.sampled_from([0.9, 0.7, 0.5]),
+                st.dictionaries(
+                    st.integers(0, 15), st.integers(1, 3), min_size=1,
+                    max_size=4,
+                ),
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_rounds_match_eager_reference(self, rounds):
+        rounds = [(smoothing, counts, 3) for smoothing, counts in rounds]
+        vector = SelectionProbabilities(
+            range(16), 3, index_of={i: i for i in range(16)}
+        )
+        for smoothing, counts, size in rounds:
+            vector.update_from_counts(counts, size, smoothing)
+        assert vector.snapshot() == TestLazyDecay._eager_reference(rounds, 16)
+
+
+class TestForProblem:
+    """``for_problem`` builds the constructor's vector without a scan."""
+
+    @pytest.mark.parametrize("backend", ["list", "numpy"])
+    def test_matches_constructor(self, backend):
+        from repro.core.problem import WASOProblem
+        from repro.graph.generators import facebook_like
+
+        graph = facebook_like(60, seed=4)
+        problem = WASOProblem(
+            graph=graph, k=5, forbidden=frozenset({3, 17, 41})
+        )
+        compiled = graph.compiled()
+        built = SelectionProbabilities(
+            problem.candidates(),
+            problem.k,
+            index_of=compiled.index_of,
+            size=compiled.number_of_nodes,
+            backend=backend,
+        )
+        fast = SelectionProbabilities.for_problem(
+            problem, compiled, backend=backend
+        )
+        assert fast.index_map is compiled.index_of
+        assert fast.snapshot() == built.snapshot()
+        assert list(fast.as_dict().items()) == list(built.as_dict().items())
+        assert fast.probability(17) == 0.0
+        other = SelectionProbabilities.for_problem(problem)
+        assert fast.kl_distance(other) == built.kl_distance(other)
