@@ -115,8 +115,10 @@ class ContextSolver(Solver):
     caller-supplied context provides the engine, the stage-executor
     routing, and the worker pool; without one the solver gets a private
     *serial* context, which reproduces the historical direct-call
-    behaviour bit for bit (the deprecated ``engine=`` kwarg delegates to
-    that private context).
+    behaviour bit for bit.  The ``engine=`` kwarg overrides the context's
+    engine per solver: request specs (daemon JSONL, benchmark workloads)
+    carry a per-request engine this way into worker-side builds, which
+    run without a context.
     """
 
     #: The runtime layer this solver executes through.

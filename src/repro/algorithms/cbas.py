@@ -19,12 +19,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.algorithms.base import ContextSolver, SolveResult, SolveStats
 from repro.algorithms.sampling import ExpansionSampler, Sample
-from repro.algorithms.stage_exec import (
-    MAX_CONSECUTIVE_FAILURES,
-    SerialStageExecutor,
-    StageContext,
-    StageExecutor,
-)
+from repro.algorithms.stage_exec import MAX_CONSECUTIVE_FAILURES, StageContext
 from repro.algorithms.start_nodes import (
     default_start_count,
     ranked_required,
@@ -49,15 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.context import ExecutionContext
 
 __all__ = ["CBAS", "CBASWarmState"]
-
-#: Historical alias — the write-off cap now lives with the stage
-#: execution strategies (serial and sharded runs share one policy).
-_MAX_CONSECUTIVE_FAILURES = MAX_CONSECUTIVE_FAILURES
-
-#: Historical alias — executor selection now lives on the
-#: :class:`~repro.runtime.context.ExecutionContext`; this instance only
-#: backs old call sites that import it directly.
-_SERIAL_EXECUTOR = SerialStageExecutor()
 
 
 @dataclass
@@ -100,19 +86,17 @@ class CBAS(ContextSolver):
         Confidence and closeness-ratio parameters used only to derive the
         default ``stages``.
     engine:
-        Deprecated shim — prefer configuring the ``context``.
-        ``"compiled"`` runs sampling on the flat-array
-        :class:`~repro.graph.compiled.CompiledGraph` index;
+        Per-solver engine override: ``"compiled"`` runs sampling on the
+        flat-array :class:`~repro.graph.compiled.CompiledGraph` index;
         ``"reference"`` keeps the dict-based path.  Seeded results are
         identical on both engines.  ``None`` (the default) inherits the
         context's engine (itself defaulting to ``"compiled"``).
-    executor:
-        Deprecated shim — prefer the context's mode routing.  An
-        explicit :class:`~repro.algorithms.stage_exec.StageExecutor`
-        pins the stage strategy for every solve, bypassing the context.
+        Request specs carry a per-request engine this way into
+        worker-side builds, which have no context.
     context:
         The :class:`~repro.runtime.context.ExecutionContext` this solver
-        executes through (engine, stage-executor routing, worker pool).
+        executes through (engine, stage-executor routing, worker pool);
+        the only source of its stage strategy.
         Without one the solver gets a private serial context — the
         historical in-process behaviour, bit for bit.
     """
@@ -129,7 +113,6 @@ class CBAS(ContextSolver):
         allocation: str = "uniform",
         start_selection: str = "potential",
         engine: Optional[str] = None,
-        executor: Optional[StageExecutor] = None,
         context: "Optional[ExecutionContext]" = None,
     ) -> None:
         if budget < 1:
@@ -155,7 +138,6 @@ class CBAS(ContextSolver):
         self.allocation = allocation
         self.start_selection = start_selection
         self._init_context(engine, context)
-        self.executor = executor
         #: Install a :class:`CBASWarmState` here (online re-planning) to
         #: reuse phase-1 starts / CE vectors; cleared by the caller, not
         #: by the solver, so one state can serve several re-plans.
@@ -206,12 +188,9 @@ class CBAS(ContextSolver):
                 problem, starts, node_stats, stats
             )
 
-        # Explicit executor (deprecated kwarg) wins; otherwise the context
-        # routes — serial by default, stage-sharded when its cost model
-        # (or a forced mode) says this solve is worth sharding.
-        executor = self.executor
-        if executor is None:
-            executor = self.context.executor_for(self, problem)
+        # The context routes — serial by default, stage-sharded when its
+        # cost model (or a forced mode) says this solve is worth sharding.
+        executor = self.context.executor_for(self, problem)
         context = StageContext(
             solver=self,
             problem=problem,
@@ -302,7 +281,7 @@ class CBAS(ContextSolver):
 
         Every expansion from such a start is doomed; pruning them up front
         redirects their budget instead of burning it on
-        ``_MAX_CONSECUTIVE_FAILURES`` stalls per start.
+        ``MAX_CONSECUTIVE_FAILURES`` stalls per start.
         """
         if not problem.connected:
             return
@@ -398,7 +377,7 @@ class CBAS(ContextSolver):
             rng,
             count,
             failures=failures,
-            max_failures=_MAX_CONSECUTIVE_FAILURES,
+            max_failures=MAX_CONSECUTIVE_FAILURES,
         )
 
     def _after_start_stage(

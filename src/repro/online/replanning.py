@@ -28,8 +28,7 @@ Runtime integration: the planner executes through an
 :class:`~repro.runtime.context.ExecutionContext` — passed in, adopted
 from the solver, or a private serial one — which owns the worker pool
 and the warm-state storage.  The pool is resident
-(:mod:`repro.parallel.residency`): when the context (or a solver-level
-:class:`~repro.parallel.stage_pool.ShardedStageExecutor`) keeps a
+(:mod:`repro.parallel.residency`): when the context keeps a
 :class:`~repro.parallel.pool.WorkerPool` warm, the planner's re-plans —
 stage-sharded or routed to ``mode="solve"`` — reuse that pool *and* the
 graph arrays already resident in it.  By
@@ -266,20 +265,15 @@ class OnlinePlanner:
         (idempotent).
 
         A stage-sharded solver keeps a worker pool warm between re-plans
-        so the graph stays resident; closing the planner closes a
-        solver-level executor (which tears the pool down only if the
-        executor owns it — a caller-shared :class:`~repro.parallel.
-        pool.WorkerPool` stays up for other solvers) and releases the
-        planner's co-ownership of its :class:`~repro.runtime.context.
+        so the graph stays resident; closing the planner releases its
+        co-ownership of its :class:`~repro.runtime.context.
         ExecutionContext` — the context's pool closes once the last
-        owner lets go.
+        owner lets go (a caller-shared :class:`~repro.parallel.pool.
+        WorkerPool` stays up for other solvers).
         """
         if self._closed:
             return
         self._closed = True
-        executor = getattr(self.solver, "executor", None)
-        if executor is not None and hasattr(executor, "close"):
-            executor.close()
         self.context.clear_warm_state(self._warm_key)
         self.context.release()
 

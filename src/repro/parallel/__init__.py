@@ -32,10 +32,11 @@ per worker):
 
 * **Solve level** (``mode="solve"``): whole solves run inside workers.
   ``solve_many`` multiplexes many independent requests onto the pool
-  (each one a full-strength serial solve inside one worker);
-  :func:`parallel_solve` splits one budget ``T`` into ``W`` independent
-  best-of slices — portfolio throughput, but each worker refits its CE
-  vectors from only ``T/W`` of the evidence.
+  (each one a full-strength serial solve inside one worker).  A single
+  ``mode="solve"`` solve is a best-of split: the context runs ``W``
+  slices of one budget ``T`` as one such batch and keeps the best —
+  portfolio throughput, but each worker refits its CE vectors from only
+  ``T/W`` of the evidence.
 * **Stage level** (``mode="stage"``, :mod:`repro.parallel.stage_pool`,
   :class:`ShardedStageExecutor`): the draws *inside* each CBAS/CBAS-ND
   stage are sharded across the same workers and merged at stage
@@ -110,7 +111,6 @@ down the process — through one recovery path
 from repro.parallel.faults import NEXT_RPC, ArrivalScript, FaultPlan
 from repro.parallel.pool import (
     WorkerPool,
-    parallel_solve,
     split_budget,
     worker_payload_bytes,
 )
@@ -137,7 +137,6 @@ __all__ = [
     "ShardedStageExecutor",
     "WorkerPool",
     "apply_graph_patch",
-    "parallel_solve",
     "plan_graph_message",
     "record_recovery",
     "record_shipping",

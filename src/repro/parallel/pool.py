@@ -3,14 +3,13 @@
 CPython threads cannot exploit the paper's OpenMP parallelism (GIL), so
 the repo parallelises with W long-lived worker *processes* — one
 :class:`WorkerPool`, the process analogue of the paper's single OpenMP
-team (Fig. 5(d)).  Three clients share it:
+team (Fig. 5(d)).  Two clients share it:
 
 * ``ExecutionContext.solve_many``'s multiplexer ships whole-solve
   chunks (:meth:`WorkerPool.ship` / :meth:`WorkerPool.collect`), each
-  request a full-strength serial solve inside one worker;
-* :func:`parallel_solve` splits one budget ``T`` into ``W`` best-of
-  slices on the same chunk path — portfolio throughput, but each worker
-  refits its CE vectors from only ``T/W`` of the evidence;
+  request a full-strength serial solve inside one worker — including
+  the ``W`` slices of a ``mode="solve"`` best-of split, which the
+  context runs as one such batch;
 * :class:`~repro.parallel.stage_pool.ShardedStageExecutor` shards the
   draws *inside* every CBAS / CBAS-ND stage (:meth:`WorkerPool.
   ensure_resident`, :meth:`WorkerPool.start_solve`, :meth:`WorkerPool.
@@ -39,7 +38,6 @@ import time
 import traceback
 from typing import Optional
 
-from repro.algorithms.base import RngLike, SolveResult, SolveStats, coerce_rng
 from repro.algorithms.sampling import (
     ExpansionSampler,
     seed_for_start,
@@ -47,7 +45,6 @@ from repro.algorithms.sampling import (
 )
 from repro.ce.probability import SelectionProbabilities
 from repro.core.problem import WASOProblem, problem_from_payload_spec
-from repro.core.solution import GroupSolution
 from repro.core.willingness import FastWillingnessEvaluator
 from repro.exceptions import (
     DeadlineExpiredError,
@@ -62,13 +59,10 @@ from repro.parallel.residency import (
     ResidentGraphStore,
     apply_graph_patch,
     plan_graph_message,
-    record_recovery,
-    record_shipping,
 )
 
 __all__ = [
     "WorkerPool",
-    "parallel_solve",
     "split_budget",
     "worker_payload_bytes",
 ]
@@ -237,11 +231,9 @@ def _run_solve_entry(store: ResidentGraphStore, entry: dict):
         if isinstance(problem, dict):
             compiled = store.get(problem["token"])
             problem = problem_from_payload_spec(compiled, problem)
-        solver = entry.get("solver_obj")
-        if solver is None:
-            from repro.algorithms.registry import make_solver
+        from repro.algorithms.registry import make_solver
 
-            solver = make_solver(entry["solver"], **entry["kwargs"])
+        solver = make_solver(entry["solver"], **entry["kwargs"])
         result = solver.solve(problem, rng=entry["seed"])
         stats = result.stats
         return (
@@ -470,8 +462,9 @@ class WorkerPool:
         """Send one chunk of whole-solve entries to ``worker``.
 
         ``entries`` is a list of entry dicts (``index`` / ``problem`` /
-        ``solver``+``kwargs`` or ``solver_obj`` / ``seed``, plus an
-        optional ``deadline``); an entry whose ``problem`` is a
+        ``solver`` / ``kwargs`` / ``seed``, plus an optional
+        ``deadline``) — a solver crosses the pipe only as its registry
+        name and constructor kwargs; an entry whose ``problem`` is a
         payload-spec dict references ``graphs[token]`` — the detached
         compiled arrays — which are installed first *only* where the
         worker's ledger says they are missing or stale.  Replies are
@@ -935,122 +928,3 @@ class WorkerPool:
 #: The solve-level name of :class:`WorkerPool`, kept because the
 #: benchmark's traced run (``perfbench/layers.py``) imports it.
 ResidentSolvePool = WorkerPool
-
-
-# ----------------------------------------------------------------------
-# Best-of budget split
-# ----------------------------------------------------------------------
-def parallel_solve(
-    problem: WASOProblem,
-    solver_factory,
-    total_budget: int,
-    workers: int,
-    rng: RngLike = None,
-    pool: "Optional[WorkerPool]" = None,
-) -> SolveResult:
-    """Split ``total_budget`` across ``workers`` processes and merge.
-
-    ``solver_factory(budget)`` must build a solver configured with the
-    given per-worker budget.  ``workers == 1`` runs inline (no process
-    overhead), so speedup measurements have an honest baseline.
-
-    ``pool`` reuses a caller-owned :class:`WorkerPool` (it must offer at
-    least ``workers`` processes and is *not* shut down here), so a
-    serving session ships each graph once per worker instead of once per
-    call; by default a fresh pool is created and torn down per call.
-    The result's ``elapsed_seconds`` is the parent's wall time for the
-    whole split.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    if total_budget < workers:
-        raise ValueError(
-            f"budget {total_budget} cannot be split over {workers} workers"
-        )
-    generator = coerce_rng(rng)
-    seeds = [generator.randrange(2**31) for _ in range(workers)]
-
-    if workers == 1:
-        return solver_factory(total_budget).solve(problem, rng=seeds[0])
-
-    started = time.perf_counter()
-    shares = split_budget(total_budget, workers)
-    solvers = [solver_factory(share) for share in shares]
-    # Freeze the compiled index once before building payloads.
-    problem.compiled()
-    compiled_only = all(
-        getattr(s, "engine", None) == "compiled" for s in solvers
-    )
-    if compiled_only:
-        # Compiled-only workers never touch the dict graph: install the
-        # detached flat arrays once per (graph, worker) and ship only
-        # the O(1) problem spec afterwards.
-        payload = problem.payload_spec()
-        graphs = {payload["token"]: problem.compiled().detach()}
-    else:
-        # Reference-engine workers need the dict graph; the frozen index
-        # cache rides along so they still skip the re-freeze.
-        payload = problem
-        graphs = {}
-
-    owned = pool is None
-    if owned:
-        pool = WorkerPool(workers)
-    elif pool.workers < workers:
-        raise ValueError(
-            f"pool offers {pool.workers} workers, {workers} requested"
-        )
-    try:
-        installs, restarts, retries = (
-            pool.installs, pool.worker_restarts, pool.retries
-        )
-        pool.begin_batch()
-        for index, (solver, seed) in enumerate(zip(solvers, seeds)):
-            entry = {
-                "index": index,
-                "problem": payload,
-                "solver_obj": solver,
-                "seed": seed,
-            }
-            pool.ship(index, [entry], graphs)
-        replies = pool.collect()
-        installs = pool.installs - installs
-        restarts = pool.worker_restarts - restarts
-        retries = pool.retries - retries
-        shipped_bytes = pool.batch_payload_bytes
-        patch_bytes = pool.batch_patch_bytes
-    finally:
-        if owned:
-            pool.close()
-
-    outcomes = [outcome for chunk in replies for outcome in chunk]
-    failures = [outcome[2] for outcome in outcomes if outcome[0] == "error"]
-    if failures:
-        raise RuntimeError(
-            "parallel_solve worker failed:\n" + "\n".join(failures)
-        )
-    best_members, best_value = None, -float("inf")
-    stats = SolveStats()
-    for _, _, members, value, drawn, failed, *_ in sorted(
-        outcomes, key=lambda outcome: outcome[1]
-    ):
-        stats.samples_drawn += drawn
-        stats.failed_samples += failed
-        if value > best_value:
-            best_members, best_value = members, value
-    stats.extra["workers"] = workers
-    stats.extra["worker_budgets"] = shares
-    stats.extra["payload"] = (
-        "compiled-arrays" if compiled_only else "dict-graph"
-    )
-    record_shipping(
-        stats.extra,
-        shipped=installs > 0,
-        payload_bytes=shipped_bytes,
-        installs=installs,
-        patch_bytes=patch_bytes,
-    )
-    record_recovery(stats.extra, restarts=restarts, retries=retries)
-    stats.elapsed_seconds = time.perf_counter() - started
-    solution = GroupSolution(members=best_members, willingness=best_value)
-    return SolveResult(solution=solution, stats=stats)

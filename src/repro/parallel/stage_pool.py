@@ -5,9 +5,9 @@ This is the process-based equivalent of the paper's OpenMP loop
 sharded across the workers of the one :class:`~repro.parallel.pool.
 WorkerPool`, and the workers synchronize only at stage boundaries —
 every stage's cross-entropy refit sees the **full** merged elite
-evidence, unlike the best-of split of :func:`~repro.parallel.pool.
-parallel_solve`, which runs independent whole solves on budget slices
-and therefore refits each worker's CE vector from 1/W of the evidence.
+evidence, unlike a ``mode="solve"`` best-of split, which runs
+independent whole solves on budget slices and therefore refits each
+worker's CE vector from 1/W of the evidence.
 
 Architecture
 ------------
@@ -83,31 +83,16 @@ class ShardedStageExecutor(StageExecutor):
     Parameters
     ----------
     pool:
-        A :class:`~repro.parallel.pool.WorkerPool` to run on (shared,
-        not closed by this executor) — or ``None`` to create an owned
-        pool of ``workers`` processes, which :meth:`close` then tears
-        down.
-    workers:
-        Worker count for the owned pool (ignored when ``pool`` is given).
+        The :class:`~repro.parallel.pool.WorkerPool` to run on; its
+        owner (usually an :class:`~repro.runtime.context.
+        ExecutionContext`) closes it, never this executor.
     trace:
         Record a per-stage shard/merge trace on :attr:`trace` — used by
         the shard-merge equivalence tests to replay the exact per-shard
         RNG streams serially; off by default (it retains kept samples).
     """
 
-    def __init__(
-        self,
-        pool: Optional[WorkerPool] = None,
-        workers: Optional[int] = None,
-        trace: bool = False,
-    ) -> None:
-        if pool is None:
-            if workers is None:
-                raise ValueError("need either a pool or a worker count")
-            pool = WorkerPool(workers)
-            self._owns_pool = True
-        else:
-            self._owns_pool = False
+    def __init__(self, pool: WorkerPool, trace: bool = False) -> None:
         self.pool = pool
         self.trace: "list | None" = [] if trace else None
         self._solve_id: Optional[int] = None
@@ -393,15 +378,3 @@ class ShardedStageExecutor(StageExecutor):
             willingness=willingness,
             indices=tuple(indices),
         )
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Close the pool if this executor owns it."""
-        if self._owns_pool:
-            self.pool.close()
-
-    def __enter__(self) -> "ShardedStageExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

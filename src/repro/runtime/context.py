@@ -54,6 +54,7 @@ from repro.algorithms.base import (
     Solver,
     SolveResult,
     SolveStats,
+    coerce_rng,
 )
 from repro.algorithms.stage_exec import SerialStageExecutor, StageExecutor
 from repro.core.problem import WASOProblem
@@ -69,6 +70,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel.pool import WorkerPool
 
 __all__ = ["ExecutionContext"]
+
+#: Engines whose worker-side solves run on the resident compiled arrays;
+#: every other solve ships its dict problem with each request.
+RESIDENT_ENGINES = ("compiled", "vector")
+
+#: ``solve_many``'s per-batch shipping and recovery keys, which a
+#: best-of split reports for the batch as a whole.
+_BATCH_KEYS = (
+    "graph_shipped",
+    "graph_installs",
+    "batch_payload_bytes",
+    "graph_patch_bytes",
+    "worker_restarts",
+    "chunk_retries",
+    "degraded_to_serial",
+    "deadline_missed",
+)
 
 
 def _factory_params(name: str):
@@ -100,8 +118,8 @@ class ExecutionContext:
     executor:
         Explicit :class:`~repro.algorithms.stage_exec.StageExecutor`
         override — every staged solve runs on it, bypassing the router.
-        This is what the solvers' deprecated ``executor=`` kwarg
-        delegates to.
+        This is the one way to pin a stage strategy (tests inject a
+        traced :class:`~repro.parallel.stage_pool.ShardedStageExecutor`).
     pool:
         A caller-owned :class:`~repro.parallel.pool.WorkerPool` to run
         on instead of lazily creating an owned one; a shared pool is
@@ -245,12 +263,12 @@ class ExecutionContext:
         """Stage-execution strategy for one solve.
 
         Called by the staged solvers (:class:`~repro.algorithms.cbas.
-        CBAS` and subclasses) when no explicit executor is installed.
-        Routes to the stage-sharded strategy only when the resolved mode
-        is ``"stage"`` and the solver can actually shard (compiled
-        engine, shard-protocol hooks); everything else — including
-        ``"solve"`` mode, which splits *above* the stage loop — runs the
-        serial in-process strategy.
+        CBAS` and subclasses) for every solve.  The ``executor``
+        override wins; otherwise routes to the stage-sharded strategy
+        only when the resolved mode is ``"stage"`` and the solver can
+        actually shard (compiled engine, shard-protocol hooks);
+        everything else — including ``"solve"`` mode, which splits
+        *above* the stage loop — runs the serial in-process strategy.
         """
         if self._executor_override is not None:
             return self._executor_override
@@ -436,33 +454,58 @@ class ExecutionContext:
         budget: int,
         rng: RngLike,
     ) -> SolveResult:
-        """Best-of over budget slices on the worker pool."""
-        from repro.parallel.pool import parallel_solve
+        """Best-of split: ``budget`` divided over W independent solves.
 
-        kwargs = dict(solver_kwargs)
-        kwargs.pop("budget", None)  # replaced by each worker's share
-        self._dispatch_engine(name, kwargs)
+        The slices run as one :meth:`solve_many` batch (so they share
+        its wire format, residency and recovery); the first maximum in
+        slice order wins.  Sample counts are summed, ``stages`` is the
+        slices' maximum, and ``elapsed_seconds`` is the parent's wall
+        time for the whole split.  A single slice runs inline.
+        """
+        from repro.parallel.pool import split_budget
+
+        started = time.perf_counter()
         workers = max(1, min(self.effective_workers, budget))
-        pool = None
         if workers > 1:
-            pool = self.solve_pool()
             # A caller-shared pool may be smaller than the context's
-            # worker setting; never dispatch past its processes.
-            workers = min(workers, pool.workers)
-
-        def factory(share: int) -> Solver:
-            from repro.algorithms.registry import make_solver
-
-            return make_solver(name, budget=share, **kwargs)
-
-        return parallel_solve(
-            problem,
-            factory,
-            total_budget=budget,
-            workers=workers,
-            rng=rng,
-            pool=pool if workers > 1 else None,
+            # worker setting; never split past its processes.
+            workers = min(workers, self.solve_pool().workers)
+        generator = coerce_rng(rng)
+        seeds = [generator.randrange(2**31) for _ in range(workers)]
+        shares = split_budget(budget, workers)
+        requests = [
+            SolveRequest(
+                problem, name, seed, {**solver_kwargs, "budget": share}
+            )
+            for seed, share in zip(seeds, shares)
+        ]
+        if workers == 1:
+            return self._solve_request(requests[0])
+        results = self.solve_many(requests, mode="solve")
+        best = max(results, key=lambda result: result.willingness)
+        engine = self._dispatch_engine(name, dict(solver_kwargs))
+        batch_extra = results[0].stats.extra
+        stats = SolveStats(
+            samples_drawn=sum(r.stats.samples_drawn for r in results),
+            failed_samples=sum(r.stats.failed_samples for r in results),
+            stages=max(r.stats.stages for r in results),
+            extra={
+                "workers": workers,
+                "worker_budgets": shares,
+                "payload": (
+                    "compiled-arrays"
+                    if engine in RESIDENT_ENGINES
+                    else "dict-graph"
+                ),
+                **{
+                    key: batch_extra[key]
+                    for key in _BATCH_KEYS
+                    if key in batch_extra
+                },
+            },
         )
+        stats.elapsed_seconds = time.perf_counter() - started
+        return SolveResult(solution=best.solution, stats=stats)
 
     # ------------------------------------------------------------------
     def solve_many(
@@ -574,7 +617,7 @@ class ExecutionContext:
             kwargs = dict(request.solver_kwargs)
             engine = self._dispatch_engine(request.solver, kwargs)
             problem = request.problem
-            if engine in ("compiled", "vector"):
+            if engine in RESIDENT_ENGINES:
                 detached = detached_graphs.get(id(problem.graph))
                 if detached is None:
                     detached = problem.compiled().detach()

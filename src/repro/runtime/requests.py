@@ -36,8 +36,8 @@ _PROBLEM_KEYS = (
 )
 
 #: Solver-constructor parameters a spec must *not* set: they carry live
-#: execution state (pools, strategies) that a JSON request cannot name.
-_EXECUTION_ONLY_PARAMS = frozenset({"context", "executor"})
+#: execution state (a worker pool) that a JSON request cannot name.
+_EXECUTION_ONLY_PARAMS = frozenset({"context"})
 
 
 def valid_spec_keys(solver: str) -> "frozenset[str] | None":

@@ -308,6 +308,37 @@ class TestSolvePoolRecovery:
                 != "serial"
             )
 
+    def test_exhausted_retries_degrade_a_split_to_serial(
+        self, small_facebook, no_orphans
+    ):
+        """A best-of split is a ``solve_many`` batch, so it degrades like
+        one: worker 0's slice dies past its retry budget, re-runs
+        in-parent, and the split still equals the fault-free one."""
+        problem = WASOProblem(graph=small_facebook, k=5)
+        kwargs = {"budget": 40, "m": 4, "stages": 2}
+
+        def split(plan=None, **context_kwargs):
+            with ExecutionContext(
+                workers=2, cpu_count=4, **context_kwargs
+            ) as context:
+                if plan is not None:
+                    context.solve_pool().fault_plan = plan
+                return context.solve(
+                    problem, "cbas-nd", rng=7, mode="solve", **kwargs
+                )
+
+        clean = split()
+        # seq 1 = worker 0's install, seq 2 its slice, seq 3 the retry's
+        # install re-send.
+        plan = FaultPlan(kills=[(0, 1), (0, 3)])
+        faulted = split(plan, max_retries=1)
+        assert len(plan.log) == 2
+        _assert_same_result(faulted, clean)
+        assert faulted.stats.extra["degraded_to_serial"] == 1
+        assert faulted.stats.extra["worker_restarts"] == 2
+        assert faulted.stats.extra["chunk_retries"] == 1
+        assert "degraded_to_serial" not in clean.stats.extra
+
 
 # ----------------------------------------------------------------------
 # Deadlines
@@ -372,7 +403,8 @@ def _stage_solve(graph, pool, engine: str = "compiled") -> "tuple":
     problem = WASOProblem(graph=graph, k=5)
     executor = ShardedStageExecutor(pool=pool)
     solver = CBASND(
-        budget=120, m=6, stages=3, engine=engine, executor=executor
+        budget=120, m=6, stages=3, engine=engine,
+        context=ExecutionContext(executor=executor),
     )
     return solver.solve(problem, rng=4)
 

@@ -1,13 +1,16 @@
-"""Packaging honesty: every third-party import is a declared dependency."""
+"""Packaging honesty: every third-party import is a declared dependency,
+and every exported name exists."""
 
 import ast
+import importlib
+import pkgutil
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
+import repro
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,6 +37,7 @@ def _import_roots() -> "dict[str, set[str]]":
 
 
 def _declared() -> "set[str]":
+    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     return {
         re.match(r"[A-Za-z0-9_.-]+", requirement).group(0).lower()
@@ -50,3 +54,18 @@ def test_every_third_party_import_is_declared():
         if root.lower() not in _declared()
     }
     assert not missing, f"imported but not in pyproject.toml: {missing}"
+
+
+def test_every_exported_name_resolves():
+    """Every name in every ``repro.*`` module's ``__all__`` exists, so a
+    deletion cannot leave a stale export behind."""
+    exported = 0
+    missing = []
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            exported += 1
+            if not hasattr(module, name):
+                missing.append(f"{info.name}.{name}")
+    assert exported > 200  # the walk sees the real package
+    assert not missing, f"exported but undefined: {missing}"

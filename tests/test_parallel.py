@@ -1,20 +1,28 @@
 """Tests for solve-level execution on the worker pool and its residency."""
 
 import pickle
+import random
 
 import pytest
 
 from repro.algorithms.cbas_nd import CBASND
+from repro.algorithms.registry import make_solver
 from repro.core.problem import WASOProblem
-from repro.parallel import (
-    WorkerPool,
-    parallel_solve,
-    split_budget,
-    worker_payload_bytes,
-)
+from repro.parallel import WorkerPool, split_budget, worker_payload_bytes
 from repro.runtime import ExecutionContext
 
 pytestmark = pytest.mark.usefixtures("no_orphans")
+
+#: Solver configuration of the best-of splits below.
+_SPLIT = dict(m=5, stages=3)
+
+
+def _split(context, problem, rng, budget=60, **kwargs):
+    """One forced ``mode="solve"`` best-of split through ``context``."""
+    return context.solve(
+        problem, "cbas-nd", rng=rng, mode="solve", budget=budget,
+        **{**_SPLIT, **kwargs},
+    )
 
 
 class TestBudgetSplit:
@@ -37,24 +45,16 @@ class TestBudgetSplit:
 class TestParallelSolve:
     def test_single_worker_inline(self, small_facebook):
         problem = WASOProblem(graph=small_facebook, k=5)
-        result = parallel_solve(
-            problem,
-            lambda budget: CBASND(budget=budget, m=5, stages=3),
-            total_budget=60,
-            workers=1,
-            rng=4,
-        )
+        with ExecutionContext(workers=1) as context:
+            result = _split(context, problem, 4)
+            # One slice runs in the parent: no pool is ever started.
+            assert context._pool is None
         assert result.solution.is_feasible(problem)
 
     def test_two_workers(self, small_facebook):
         problem = WASOProblem(graph=small_facebook, k=5)
-        result = parallel_solve(
-            problem,
-            lambda budget: CBASND(budget=budget, m=5, stages=3),
-            total_budget=60,
-            workers=2,
-            rng=4,
-        )
+        with ExecutionContext(workers=2) as context:
+            result = _split(context, problem, 4)
         assert result.solution.is_feasible(problem)
         assert result.stats.extra["workers"] == 2
         assert result.stats.samples_drawn > 0
@@ -62,25 +62,15 @@ class TestParallelSolve:
     def test_remainder_budget_not_dropped(self, small_facebook):
         """total_budget % workers lands on the first workers."""
         problem = WASOProblem(graph=small_facebook, k=5)
-        result = parallel_solve(
-            problem,
-            lambda budget: CBASND(budget=budget, m=5, stages=3),
-            total_budget=61,
-            workers=2,
-            rng=4,
-        )
+        with ExecutionContext(workers=2) as context:
+            result = _split(context, problem, 4, budget=61)
         assert result.stats.extra["worker_budgets"] == [31, 30]
         assert sum(result.stats.extra["worker_budgets"]) == 61
 
     def test_compiled_workers_get_slim_payload(self, small_facebook):
         problem = WASOProblem(graph=small_facebook, k=5)
-        result = parallel_solve(
-            problem,
-            lambda budget: CBASND(budget=budget, m=5, stages=3),
-            total_budget=60,
-            workers=2,
-            rng=4,
-        )
+        with ExecutionContext(workers=2) as context:
+            result = _split(context, problem, 4)
         assert result.stats.extra["payload"] == "compiled-arrays"
         assert result.solution.is_feasible(problem)
 
@@ -88,15 +78,8 @@ class TestParallelSolve:
         self, small_facebook
     ):
         problem = WASOProblem(graph=small_facebook, k=5)
-        result = parallel_solve(
-            problem,
-            lambda budget: CBASND(
-                budget=budget, m=5, stages=3, engine="reference"
-            ),
-            total_budget=60,
-            workers=2,
-            rng=4,
-        )
+        with ExecutionContext(workers=2) as context:
+            result = _split(context, problem, 4, engine="reference")
         assert result.stats.extra["payload"] == "dict-graph"
         assert result.solution.is_feasible(problem)
 
@@ -125,59 +108,32 @@ class TestParallelSolve:
             == both["compiled_arrays_bytes"]
         )
 
-    def test_validation(self, small_facebook):
-        problem = WASOProblem(graph=small_facebook, k=5)
-        factory = lambda budget: CBASND(budget=budget)  # noqa: E731
-        with pytest.raises(ValueError):
-            parallel_solve(problem, factory, total_budget=10, workers=0)
-        with pytest.raises(ValueError):
-            parallel_solve(problem, factory, total_budget=1, workers=4)
-
     def test_reuses_caller_owned_pool(self, small_facebook):
         """A shared pool serves several runs and is not shut down."""
         problem = WASOProblem(graph=small_facebook, k=5)
-        factory = lambda budget: CBASND(  # noqa: E731
-            budget=budget, m=5, stages=3
-        )
         with WorkerPool(2) as shared:
-            first = parallel_solve(
-                problem, factory, total_budget=60, workers=2, rng=4,
-                pool=shared,
-            )
-            second = parallel_solve(
-                problem, factory, total_budget=60, workers=2, rng=5,
-                pool=shared,
-            )
+            with ExecutionContext(pool=shared) as context:
+                first = _split(context, problem, 4)
+                second = _split(context, problem, 5)
             assert first.solution.is_feasible(problem)
             assert second.solution.is_feasible(problem)
-            # The pool survives parallel_solve: it still accepts work.
+            # The pool survives the context: it still accepts work.
             shared.begin_batch()
             shared.ship(0, [], {})
             assert shared.collect() == [[]]
 
 
 class TestResidentSolvePool:
-    def _factory(self, **kwargs):
-        merged = dict(m=5, stages=3)
-        merged.update(kwargs)
-        return lambda budget: CBASND(budget=budget, **merged)
-
     def test_graph_ships_once_per_worker_across_calls(self, small_facebook):
         """The tentpole property: repeated best-of solves on one graph
         install the detached arrays exactly once per worker."""
         problem = WASOProblem(graph=small_facebook, k=5)
-        with WorkerPool(2) as pool:
-            first = parallel_solve(
-                problem, self._factory(), total_budget=60, workers=2,
-                rng=4, pool=pool,
-            )
+        with WorkerPool(2) as pool, ExecutionContext(pool=pool) as context:
+            first = _split(context, problem, 4)
             assert pool.installs == 2  # one per (graph, worker) pair
             assert first.stats.extra["graph_shipped"] is True
             assert first.stats.extra["graph_installs"] == 2
-            second = parallel_solve(
-                problem, self._factory(), total_budget=60, workers=2,
-                rng=5, pool=pool,
-            )
+            second = _split(context, problem, 5)
             assert pool.installs == 2  # nothing re-shipped
             assert second.stats.extra["graph_shipped"] is False
             assert second.stats.extra["graph_installs"] == 0
@@ -186,28 +142,6 @@ class TestResidentSolvePool:
             assert second.stats.extra["batch_payload_bytes"] < slim
             assert first.stats.extra["batch_payload_bytes"] > slim
 
-    def test_resident_pool_matches_owned_and_context(self, small_facebook):
-        """Bit-identity across the ways to run a best-of split: an owned
-        pool, a shared pool, and ``mode="solve"`` through the runtime
-        layer."""
-        problem = WASOProblem(graph=small_facebook, k=5)
-        owned = parallel_solve(
-            problem, self._factory(), total_budget=60, workers=2, rng=4
-        )
-        with WorkerPool(2) as pool:
-            resident = parallel_solve(
-                problem, self._factory(), total_budget=60, workers=2,
-                rng=4, pool=pool,
-            )
-        with ExecutionContext(mode="solve", workers=2) as context:
-            routed = context.solve(
-                problem, "cbas-nd", rng=4, budget=60, m=5, stages=3
-            )
-        for other in (resident, routed):
-            assert other.members == owned.members
-            assert other.willingness == owned.willingness
-            assert other.stats.samples_drawn == owned.stats.samples_drawn
-
     def test_eviction_forces_reshipping(self, small_facebook):
         """A capacity-1 cache alternating two graphs re-ships on every
         switch — and still solves correctly afterwards."""
@@ -215,17 +149,16 @@ class TestResidentSolvePool:
 
         problem_a = WASOProblem(graph=small_facebook, k=5)
         problem_b = WASOProblem(graph=facebook_like(120, seed=9), k=4)
-        with WorkerPool(2, resident_graphs=1) as pool:
+        with WorkerPool(2, resident_graphs=1) as pool, ExecutionContext(
+            pool=pool
+        ) as context:
             for expected_installs, problem, seed in (
                 (2, problem_a, 1),   # cold: ship A
                 (2, problem_a, 2),   # warm: nothing
                 (4, problem_b, 3),   # B evicts A
                 (6, problem_a, 4),   # A must be re-shipped
             ):
-                result = parallel_solve(
-                    problem, self._factory(), total_budget=40, workers=2,
-                    rng=seed, pool=pool,
-                )
+                result = _split(context, problem, seed, budget=40)
                 assert result.solution.is_feasible(problem)
                 assert pool.installs == expected_installs
             token_a = problem_a.payload_token()
@@ -235,19 +168,24 @@ class TestResidentSolvePool:
         """The dict path has no resident representation: reference-engine
         workers get the full problem, and no graph is installed."""
         problem = WASOProblem(graph=small_facebook, k=5)
-        with WorkerPool(2) as pool:
-            result = parallel_solve(
-                problem,
-                self._factory(engine="reference"),
-                total_budget=60,
-                workers=2,
-                rng=4,
-                pool=pool,
-            )
+        with WorkerPool(2) as pool, ExecutionContext(pool=pool) as context:
+            result = _split(context, problem, 4, engine="reference")
             assert result.stats.extra["payload"] == "dict-graph"
             assert result.stats.extra["graph_installs"] == 0
             assert pool.installs == 0
             assert result.solution.is_feasible(problem)
+
+    def test_warm_vector_split_stays_resident(self, small_facebook):
+        """Regression: vector-engine slices run on the resident compiled
+        arrays like compiled ones — a warm split ships only specs, never
+        the dict graph."""
+        problem = WASOProblem(graph=small_facebook, k=5)
+        with ExecutionContext(workers=2, engine="vector") as context:
+            _split(context, problem, 4)
+            warm = _split(context, problem, 5)
+        assert warm.stats.extra["payload"] == "compiled-arrays"
+        assert warm.stats.extra["graph_installs"] == 0
+        assert warm.stats.extra["batch_payload_bytes"] < 1024
 
     def test_multiple_chunks_per_worker_parse_correctly(
         self, small_facebook
@@ -259,7 +197,7 @@ class TestResidentSolvePool:
 
         problem_a = WASOProblem(graph=small_facebook, k=5)
         problem_b = WASOProblem(graph=facebook_like(120, seed=9), k=4)
-        solver = CBASND(budget=30, m=4, stages=2)
+        kwargs = dict(budget=30, m=4, stages=2)
         with WorkerPool(1) as pool:
             pool.begin_batch()
             for index, problem in enumerate((problem_a, problem_b)):
@@ -269,7 +207,8 @@ class TestResidentSolvePool:
                     [{
                         "index": index,
                         "problem": spec,
-                        "solver_obj": solver,
+                        "solver": "cbas-nd",
+                        "kwargs": kwargs,
                         "seed": 7,
                     }],
                     {spec["token"]: problem.compiled().detach()},
@@ -281,17 +220,19 @@ class TestResidentSolvePool:
         ):
             status, echoed, members, value = chunk[0][:4]
             assert status == "ok" and echoed == index
-            direct = solver.solve(problem, rng=7)
+            direct = CBASND(**kwargs).solve(problem, rng=7)
             assert members == direct.members and value == direct.willingness
 
-    def test_pool_smaller_than_workers_rejected(self, small_facebook):
+    def test_split_clamped_to_a_smaller_shared_pool(self, small_facebook):
+        """A shared pool smaller than the context's worker setting caps
+        the split instead of dispatching past its processes."""
         problem = WASOProblem(graph=small_facebook, k=5)
-        with WorkerPool(1) as pool:
-            with pytest.raises(ValueError, match="workers"):
-                parallel_solve(
-                    problem, self._factory(), total_budget=60, workers=2,
-                    rng=4, pool=pool,
-                )
+        with WorkerPool(2) as pool, ExecutionContext(
+            workers=4, pool=pool
+        ) as context:
+            result = _split(context, problem, 4)
+        assert result.stats.extra["workers"] == 2
+        assert result.stats.extra["worker_budgets"] == [30, 30]
 
     def test_closed_pool_rejected(self, small_facebook):
         pool = WorkerPool(1)
@@ -317,8 +258,38 @@ class TestSolveModeSplit:
             )
         assert result.solution.is_feasible(problem)
         assert result.stats.extra["workers"] == 2
-        # The split reports the parent's wall time, not zero.
+        # The split reports the parent's wall time, not zero, and the
+        # stages its slices ran.
         assert result.stats.elapsed_seconds > 0
+        assert result.stats.stages == 3
+
+    @pytest.mark.parametrize("engine", ["compiled", "reference", "vector"])
+    def test_split_equals_first_max_of_serial_slices(
+        self, small_facebook, engine
+    ):
+        """Oracle: the split is the first maximum of W direct serial
+        solves, each on its budget share with its seed drawn in order
+        from the caller's rng."""
+        problem = WASOProblem(graph=small_facebook, k=5)
+        with ExecutionContext(workers=2) as context:
+            split = _split(context, problem, 4, budget=61, engine=engine)
+        seeds = random.Random(4)
+        slices = [
+            make_solver(
+                "cbas-nd", budget=share, engine=engine, **_SPLIT
+            ).solve(problem, rng=seeds.randrange(2**31))
+            for share in split_budget(61, 2)
+        ]
+        best = max(slices, key=lambda result: result.willingness)
+        assert split.members == best.members
+        assert split.willingness == best.willingness
+        assert split.stats.samples_drawn == sum(
+            r.stats.samples_drawn for r in slices
+        )
+        assert split.stats.failed_samples == sum(
+            r.stats.failed_samples for r in slices
+        )
+        assert split.stats.stages == max(r.stats.stages for r in slices)
 
     def test_quality_comparable_to_serial(self, small_facebook):
         """Splitting the budget must not collapse quality (statistical)."""
