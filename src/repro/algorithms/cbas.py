@@ -395,11 +395,11 @@ class CBAS(ContextSolver):
         """How pool workers bias their frontier draws for this solver."""
         return "uniform"
 
-    def _stage_weight_array(self, start_index: int) -> "list | None":
-        """Per-start frontier weight row for the vector kernel's CE mode.
+    def _stage_weight_array(self, start_index: int):
+        """Per-start frontier weights for the vector kernel's CE mode.
 
-        ``None`` for uniform CBAS; CBAS-ND returns the start's
-        probability array.
+        ``None`` for uniform CBAS; CBAS-ND returns the start's sparse
+        probability vector view.
         """
         return None
 

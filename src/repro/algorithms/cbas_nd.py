@@ -140,18 +140,11 @@ class CBASND(CBAS):
                 continue
             warm_flags.append(False)
             if template is None:
-                # The vector engine refits whole float64 arrays its batch
-                # kernel reads zero-copy; the compiled engine's sparse
-                # vectors live in the compiled id domain, so the sampler
-                # weights frontier draws by slot, without a dict probe.
+                # With a compiled index the sparse vectors live in its id
+                # domain, so both fast engines weight frontier draws by
+                # slot, without a dict probe.
                 template = SelectionProbabilities.for_problem(
-                    problem,
-                    compiled,
-                    backend=(
-                        "numpy"
-                        if getattr(evaluator, "is_vector", False)
-                        else "list"
-                    ),
+                    problem, compiled
                 )
                 vectors.append(template)
             else:
@@ -232,7 +225,7 @@ class CBASND(CBAS):
         return "ce"
 
     def _stage_weight_array(self, start_index: int):
-        """The start's probability array for the vector kernel's CE mode."""
+        """The start's sparse probability view for the vector kernel."""
         return self._vectors[start_index].array
 
     def _shard_keep_rank(self, share: int) -> int:

@@ -39,8 +39,9 @@ the frontier, into a weights list swap-popped in step with it; and
 once for a whole run of draws from the same start node.
 
 Seed members are expanded in ``repr`` order on both paths, and the seed's
-base willingness is accumulated in that order, so a seeded draw does not
-depend on set iteration order (``PYTHONHASHSEED`` for string node ids).
+base willingness is accumulated in that order; WASO-dis frontiers fill in
+``problem.candidates()`` order.  So a seeded draw does not depend on set
+iteration order (``PYTHONHASHSEED`` for string node ids).
 """
 
 from __future__ import annotations
@@ -292,11 +293,6 @@ class ExpansionSampler:
         self._compiled = compiled
         if compiled is not None:
             n = compiled.number_of_nodes
-            # Generation stamps: per draw ``t`` the token pair is
-            # ``(2t, 2t + 1)`` — ``status[i] == 2t + 1`` marks a member,
-            # ``status[i] == 2t`` a frontier entry, anything smaller is
-            # untouched this draw.  No per-draw clearing needed.
-            self._status = [0] * n
             self._draw_serial = 0
             allowed_mask = bytearray(b"\x01") * n
             index_of = compiled.index_of
@@ -317,9 +313,28 @@ class ExpansionSampler:
 
     # ------------------------------------------------------------------
     @cached_property
+    def _candidates(self) -> list:
+        """Allowed nodes in ``problem.candidates()`` order: WASO-dis
+        frontiers fill in this order on both paths, whatever the hash
+        seed."""
+        return self.problem.candidates()
+
+    @cached_property
     def _allowed(self) -> set:
-        """Allowed nodes as a set: the dict path and WASO-dis frontiers."""
-        return set(self.problem.candidates())
+        """Allowed nodes as a set (the dict path's membership test)."""
+        return set(self._candidates)
+
+    @cached_property
+    def _status(self) -> list:
+        """Generation stamps of the scalar fast kernel, built on first use
+        (vector-engine samplers rarely draw one sample at a time).
+
+        Per draw ``t`` the token pair is ``(2t, 2t + 1)``:
+        ``status[i] == 2t + 1`` marks a member, ``status[i] == 2t`` a
+        frontier entry, anything smaller is untouched this draw.  No
+        per-draw clearing needed.
+        """
+        return [0] * self._compiled.number_of_nodes
 
     @staticmethod
     def _seed_members(seed: Iterable[NodeId]) -> "tuple[set, list]":
@@ -567,8 +582,8 @@ class ExpansionSampler:
                         frontier.append(other)
         else:
             # WASO-dis: every remaining allowed node is selectable;
-            # populated once, in the reference path's set order.
-            for node in self._allowed:
+            # populated once, in the reference path's candidate order.
+            for node in self._candidates:
                 other = index_of[node]
                 if other not in member_set:
                     frontier.append(other)
@@ -724,8 +739,8 @@ class ExpansionSampler:
                         frontier.append(neighbour)
         elif not frontier and not in_frontier:
             # WASO-dis: every remaining allowed node is always selectable;
-            # populate once.
-            for node in self._allowed:
+            # populate once, in candidate order.
+            for node in self._candidates:
                 if node not in members:
                     in_frontier.add(node)
                     frontier.append(node)

@@ -38,20 +38,22 @@ stack itself never converts back to node ids mid-solve.
 Sparse form
 -----------
 Every candidate slot no elite sample has touched holds the same value:
-the prior ``(k − 1)/|V|`` decayed by each round's ``1 − w``.  The
-``"list"`` backend stores it once as the scalar ``base``, plus a dict of
-the slots that differ (elite-touched slots, ``0.0`` non-candidates).  A
-refit round is O(|touched|): the dict values and ``base`` are multiplied
-by the keep factor, then the round's elite slots get the Eq. (4)
-formula.  ``base`` goes through exactly the left-to-right chain
-``((p·k₁)·k₂)·…`` an eager pass applies to each slot, so every value is
-bit-identical to the dense implementation (a folded scale factor
-``p·(k₁·k₂·…)`` would drift in the last ulp and flip quantile-threshold
-comparisons).  Reads are one dict probe; only :meth:`snapshot`,
+the prior ``(k − 1)/|V|`` decayed by each round's ``1 − w``.  The vector
+stores it once as the scalar ``base``, plus a dict of the slots that
+differ (elite-touched slots, ``0.0`` non-candidates).  A refit round is
+O(|touched|): the dict values and ``base`` are multiplied by the keep
+factor, then the round's elite slots get the Eq. (4) formula.  ``base``
+goes through exactly the left-to-right chain ``((p·k₁)·k₂)·…`` an eager
+pass applies to each slot, so every value is bit-identical to an eager
+dense pass (a folded scale factor ``p·(k₁·k₂·…)`` would drift in the
+last ulp and flip quantile-threshold comparisons).  Reads are one dict probe; only :meth:`snapshot`,
 :meth:`as_dict`, :meth:`kl_distance` and the ``compute_movement=True``
-refit densify, through ``_materialize_all``.  The ``"numpy"`` backend
-(vector engine) keeps an eager dense array its batch kernel reads
-zero-copy.
+refit densify, through ``_materialize_all``.  This one form serves
+every engine, so a solve's CE cost is O(draws + touched slots), never
+O(n): the compiled sampler reads it through :meth:`_SparseView.lookup`,
+the vector engine's batch kernel through :meth:`_SparseView.sparse`;
+both gather a frontier entry's weight once, when the entry joins the
+frontier.
 
 Sharded stage merge
 -------------------
@@ -73,8 +75,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from repro.algorithms.sampling import Sample
 from repro.graph.social_graph import NodeId
@@ -99,7 +99,8 @@ def elite_threshold(willingness_values: Sequence[float], rho: float) -> float:
 class _SparseView:
     """Live read-only slot view (``len``, ``view[slot]``) of a sparse
     compiled-domain vector; :meth:`lookup` hands the fast sampler the raw
-    ``(dict.get, base)`` pair for C-level ``map`` gathers."""
+    ``(dict.get, base)`` pair for C-level ``map`` gathers, :meth:`sparse`
+    hands the vector kernel the ``(touched, base)`` form itself."""
 
     __slots__ = ("_vector",)
 
@@ -120,6 +121,14 @@ class _SparseView:
         vector = self._vector
         return vector._touched.get, vector._base
 
+    def sparse(self) -> "tuple[Mapping[int, float], float]":
+        """``(touched, base)``: slot → value where it differs from ``base``.
+
+        The mapping is the vector's live dict; callers must not mutate it.
+        """
+        vector = self._vector
+        return vector._touched, vector._base
+
 
 class SelectionProbabilities:
     """One start node's node-selection probability vector ``p_i``.
@@ -139,19 +148,15 @@ class SelectionProbabilities:
     size:
         Array length for the compiled domain (defaults to
         ``len(index_of)``, i.e. one slot per graph node).
-    backend:
-        ``"list"`` (default) keeps the sparse form of the module
-        docstring; ``"numpy"`` (the vector engine) stores a dense
-        float64 ndarray and applies every refit round eagerly with one
-        vectorized multiply — one factor per round, left to right, so
-        per-slot values stay IEEE-identical to the sparse form.
+
+    Values are held in the sparse form of the module docstring (one
+    ``base`` plus the touched slots) for every engine.
 
     :meth:`for_problem` builds the vector a solver needs without listing
     the candidates — O(|forbidden|) in the compiled domain.
     """
 
     __slots__ = (
-        "_p",
         "_touched",
         "_base",
         "_size",
@@ -170,7 +175,6 @@ class SelectionProbabilities:
         *,
         index_of: "Mapping[NodeId, int] | None" = None,
         size: "int | None" = None,
-        backend: str = "list",
     ) -> None:
         nodes = list(candidates)
         if index_of is None:
@@ -181,14 +185,12 @@ class SelectionProbabilities:
             length = len(index_of) if size is None else size
         slots = [slot_of[node] for node in nodes]
         zero = set(range(length)).difference(slots)
-        self._setup(k, len(nodes), index_of, slot_of, length, zero, backend)
+        self._setup(k, len(nodes), index_of, slot_of, length, zero)
         self._candidates = list(zip(nodes, slots))
         self._excluded = None
 
     @classmethod
-    def for_problem(
-        cls, problem, compiled=None, *, backend: str = "list"
-    ) -> "SelectionProbabilities":
+    def for_problem(cls, problem, compiled=None) -> "SelectionProbabilities":
         """The homogeneous prior over ``problem``'s candidates.
 
         With a ``compiled`` index the vector lives in its id domain and
@@ -198,23 +200,19 @@ class SelectionProbabilities:
         constructor's bit for bit.
         """
         if compiled is None:
-            return cls(problem.candidates(), problem.k, backend=backend)
+            return cls(problem.candidates(), problem.k)
         index_of = compiled.index_of
         excluded = problem.forbidden
         zero = {index_of[node] for node in excluded}
         size = compiled.number_of_nodes
         vector = cls.__new__(cls)
         vector._setup(problem.k, size - len(zero), index_of, index_of,
-                      size, zero, backend)
+                      size, zero)
         vector._candidates = None
         vector._excluded = excluded
         return vector
 
-    def _setup(self, k, count, index_map, index_of, size, zero, backend):
-        if backend not in ("list", "numpy"):
-            raise ValueError(
-                f"backend must be 'list' or 'numpy', got {backend!r}"
-            )
+    def _setup(self, k, count, index_map, index_of, size, zero):
         if count < 1:
             raise ValueError("need at least one candidate node")
         if k < 1:
@@ -227,17 +225,8 @@ class SelectionProbabilities:
         self._index_of = index_of
         self._size = size
         self._view = None
-        if backend == "numpy":
-            p = np.full(size, initial, dtype=np.float64)
-            if zero:
-                p[np.fromiter(zero, dtype=np.int64, count=len(zero))] = 0.0
-            self._p = p
-            self._touched = None
-            self._base = None
-        else:
-            self._p = None
-            self._base = initial
-            self._touched = dict.fromkeys(zero, 0.0)
+        self._base = initial
+        self._touched = dict.fromkeys(zero, 0.0)
         self.gamma = -math.inf  # monotone elite threshold (pseudo-code 36-39)
 
     # ------------------------------------------------------------------
@@ -252,26 +241,22 @@ class SelectionProbabilities:
             ]
         return self._candidates
 
-    def _materialize_all(self) -> "list[float] | np.ndarray":
-        """The dense array (a fresh list, or the numpy backend's own)."""
-        if self._p is not None:
-            return self._p
+    def _materialize_all(self) -> "list[float]":
+        """The dense array, as a fresh list."""
         dense = [self._base] * self._size
         for slot, value in self._touched.items():
             dense[slot] = value
         return dense
 
     @property
-    def array(self) -> "_SparseView | np.ndarray | None":
+    def array(self) -> "_SparseView | None":
         """Compiled-id-indexed slot values (``None`` in the local domain).
 
-        The live sparse view (one object per vector) or the numpy
-        backend's dense array; refits update either in place.
+        The live sparse view (one object per vector); refits show through
+        it.
         """
         if self.index_map is None:
             return None
-        if self._p is not None:
-            return self._p
         if self._view is None:
             self._view = _SparseView(self)
         return self._view
@@ -281,8 +266,6 @@ class SelectionProbabilities:
         slot = self._index_of.get(node)
         if slot is None:
             return 0.0
-        if self._p is not None:
-            return self._p[slot]
         return self._touched.get(slot, self._base)
 
     __call__ = probability
@@ -293,10 +276,7 @@ class SelectionProbabilities:
             slot = self._index_of[node]
         except KeyError:
             raise KeyError(f"{node!r} is not in this vector's domain") from None
-        if self._p is not None:
-            self._p[slot] = value
-        else:
-            self._touched[slot] = value
+        self._touched[slot] = value
 
     def reset_threshold(self) -> None:
         """Forget the monotone elite threshold ``γ`` (keep probabilities).
@@ -331,8 +311,7 @@ class SelectionProbabilities:
         clone._excluded = self._excluded
         clone._size = self._size
         clone._view = None
-        clone._p = None if self._p is None else self._p.copy()
-        clone._touched = None if self._touched is None else dict(self._touched)
+        clone._touched = dict(self._touched)
         clone._base = self._base
         clone.gamma = self.gamma
         return clone
@@ -390,31 +369,16 @@ class SelectionProbabilities:
         compiled_domain = self.index_map is not None
         index_of = self._index_of
         counts: dict[int, int] = {}
-        if (
-            compiled_domain
-            and self._p is not None
-            and all(sample.indices is not None for sample in elites)
-        ):
-            # Vector engine: one np.unique over the concatenated elite
-            # member indices replaces the per-member dict increments
-            # (sorted slots, so the dict order matches a bincount scan).
-            flat = np.fromiter(
-                (slot for sample in elites for slot in sample.indices),
-                dtype=np.int64,
-            )
-            slots, hits = np.unique(flat, return_counts=True)
-            counts = dict(zip(slots.tolist(), hits.tolist()))
-        else:
-            for sample in elites:
-                indices = sample.indices if compiled_domain else None
-                if indices is not None:
-                    for slot in indices:
+        for sample in elites:
+            indices = sample.indices if compiled_domain else None
+            if indices is not None:
+                for slot in indices:
+                    counts[slot] = counts.get(slot, 0) + 1
+            else:
+                for node in sample.members:
+                    slot = index_of.get(node)
+                    if slot is not None:
                         counts[slot] = counts.get(slot, 0) + 1
-                else:
-                    for node in sample.members:
-                        slot = index_of.get(node)
-                        if slot is not None:
-                            counts[slot] = counts.get(slot, 0) + 1
 
         _, movement = self._refit(
             counts, len(elites), smoothing, compute_movement
@@ -474,15 +438,8 @@ class SelectionProbabilities:
         keep = 1.0 - smoothing
         if compute_movement:
             dense = self._materialize_all()
-            if self._p is not None:
-                # Movement is a convergence control signal, not a sampled
-                # quantity — the dot product's pairwise summation is fine.
-                total_sq = float(np.dot(dense, dense))
-            else:
-                total_sq = sum([value * value for value in dense])
+            total_sq = sum([value * value for value in dense])
             read = dense.__getitem__
-        elif self._p is not None:
-            read = self._p.__getitem__
         else:
             touched, base = self._touched, self._base
             read = lambda slot: touched.get(slot, base)  # noqa: E731
@@ -491,9 +448,6 @@ class SelectionProbabilities:
         slot_values = []
         for slot in sorted(counts):
             old = read(slot)
-            # Plain Python floats keep the patch tuples cheap to pickle
-            # whichever backend produced them.
-            old = float(old)
             new = smoothing * (counts[slot] / size) + keep * old
             slot_values.append((slot, new))
             if compute_movement:
@@ -509,12 +463,6 @@ class SelectionProbabilities:
 
     def _record_round(self, keep: float, slot_values: Sequence[tuple]) -> None:
         """Apply one refit round: uniform decay, then the touched slots."""
-        if self._p is not None:
-            p = self._p
-            p *= keep
-            for slot, value in slot_values:
-                p[slot] = value
-            return
         touched = {slot: keep * value for slot, value in self._touched.items()}
         for slot, value in slot_values:
             touched[slot] = value
@@ -534,25 +482,20 @@ class SelectionProbabilities:
     # ------------------------------------------------------------------
     def snapshot(self) -> list[float]:
         """Dense copy of the flat array (backtracking, full resync)."""
-        if self._p is not None:
-            return self._p.tolist()
         return self._materialize_all()
 
     def restore(self, snapshot: Sequence[float]) -> None:
         """Reset the vector to a previous :meth:`snapshot` (or any full array).
 
         Restores in place so borrowed :attr:`array` references (the fast
-        sampler holds one during a stage) stay valid.  The sparse backend
-        takes the array's most common value as its new ``base``.
+        sampler holds one during a stage) stay valid.  The array's most
+        common value becomes the new ``base``.
         """
         if len(snapshot) != self._size:
             raise ValueError(
                 f"snapshot length {len(snapshot)} does not match "
                 f"vector length {self._size}"
             )
-        if self._p is not None:
-            self._p[:] = snapshot
-            return
         base = Counter(snapshot).most_common(1)[0][0]
         self._touched = {
             slot: value

@@ -155,11 +155,7 @@ class _WorkerSolveState:
             # Bit-identical to the parent's cold vectors: same candidate
             # order (compiled node order minus forbidden), same k, same
             # rebuilt index_of.  Warm vectors ship their arrays.
-            template = SelectionProbabilities.for_problem(
-                problem,
-                compiled,
-                backend="numpy" if self.engine == "vector" else "list",
-            )
+            template = SelectionProbabilities.for_problem(problem, compiled)
             vectors = []
             for initial in spec["vectors"]:
                 vector = template.replicate()

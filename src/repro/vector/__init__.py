@@ -14,9 +14,10 @@ This package evaluates a whole stage's draws as array operations:
   bit-reproducible within the engine and independent of how a stage's
   draws are sharded across workers;
 * :mod:`repro.vector.kernel` — the stage-batched frontier kernel:
-  status-stamp membership matrices, cumulative-sum weighted picks, and
-  ``bincount``-reduced willingness deltas for every draw of a stage at
-  once;
+  status matrices (one column per touched node in large sparse chunks),
+  cumulative-sum weighted picks over CE weights gathered once per
+  frontier entry, and ``bincount``-reduced willingness deltas for every
+  draw of a stage at once;
 * :mod:`repro.vector.stage_exec` — the serial-process stage executor
   that feeds whole stages to the kernel;
 * :mod:`repro.vector.evaluator` — the

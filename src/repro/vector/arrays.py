@@ -48,6 +48,7 @@ class VectorGraph:
         "weighted_interest",
         "potential",
         "degrees",
+        "max_degree",
         "number_of_nodes",
     )
 
@@ -62,6 +63,7 @@ class VectorGraph:
         )
         self.potential = np.asarray(compiled.potential, dtype=np.float64)
         self.degrees = np.diff(self.offsets)
+        self.max_degree = int(self.degrees.max()) if self.degrees.size else 0
         self.number_of_nodes = compiled.number_of_nodes
 
 

@@ -462,7 +462,6 @@ class TestSparseFormProperties:
             touched_term += (new - old[slot]) ** 2
         return smoothing * smoothing * (total_sq - touched_sq) + touched_term
 
-    @pytest.mark.parametrize("backend", ["list", "numpy"])
     @given(
         candidates=st.sets(
             st.integers(0, _LENGTH - 1), min_size=1, max_size=_LENGTH
@@ -471,14 +470,12 @@ class TestSparseFormProperties:
         ops=_vector_ops,
     )
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_matches_dense_model(self, backend, candidates, k, ops):
+    def test_matches_dense_model(self, candidates, k, ops):
         slots = sorted(candidates)
         index_of = {slot: slot for slot in range(_LENGTH)}
 
         def build():
-            return SelectionProbabilities(
-                slots, k, index_of=index_of, backend=backend
-            )
+            return SelectionProbabilities(slots, k, index_of=index_of)
 
         vector, mirror = build(), build()
         count = len(slots)
@@ -499,13 +496,7 @@ class TestSparseFormProperties:
                 patch, movement = vector.update_from_counts(
                     counts, size, smoothing, compute_movement=movement_on
                 )
-                if not movement_on:
-                    assert movement == 0.0
-                elif backend == "list":
-                    assert movement == want
-                else:
-                    # The numpy backend sums Σ old² with np.dot (pairwise).
-                    assert movement == pytest.approx(want, rel=1e-12)
+                assert movement == (want if movement_on else 0.0)
                 mirror.apply_round(patch[1], patch[2])
             elif kind == "read":
                 slot = op[1] % _LENGTH
@@ -557,8 +548,7 @@ class TestSparseFormProperties:
 class TestForProblem:
     """``for_problem`` builds the constructor's vector without a scan."""
 
-    @pytest.mark.parametrize("backend", ["list", "numpy"])
-    def test_matches_constructor(self, backend):
+    def test_matches_constructor(self):
         from repro.core.problem import WASOProblem
         from repro.graph.generators import facebook_like
 
@@ -572,11 +562,8 @@ class TestForProblem:
             problem.k,
             index_of=compiled.index_of,
             size=compiled.number_of_nodes,
-            backend=backend,
         )
-        fast = SelectionProbabilities.for_problem(
-            problem, compiled, backend=backend
-        )
+        fast = SelectionProbabilities.for_problem(problem, compiled)
         assert fast.index_map is compiled.index_of
         assert fast.snapshot() == built.snapshot()
         assert list(fast.as_dict().items()) == list(built.as_dict().items())

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -193,31 +194,45 @@ _HASH_SEED_SCRIPT = textwrap.dedent(
     from repro.graph.generators import facebook_like
     from repro.graph.social_graph import SocialGraph
 
-    source = facebook_like(120, seed=1)
-    graph = SocialGraph()
-    for node in source.nodes():
-        graph.add_node(f"u{node}", source.interest(node), source.lam(node))
-    for u in source.nodes():
-        for v, tau in source.neighbor_tightness(u).items():
-            if not graph.has_edge(f"u{u}", f"u{v}"):
-                graph.add_edge(f"u{u}", f"u{v}", tau, source.tightness(v, u))
+    def relabelled(source):
+        graph = SocialGraph()
+        for node in source.nodes():
+            graph.add_node(f"u{node}", source.interest(node), source.lam(node))
+        for u in source.nodes():
+            for v, tau in source.neighbor_tightness(u).items():
+                if not graph.has_edge(f"u{u}", f"u{v}"):
+                    graph.add_edge(f"u{u}", f"u{v}", tau, source.tightness(v, u))
+        return graph
+
     problem = WASOProblem(
-        graph=graph, k=8, required=frozenset({"u5", "u7", "u9", "u11"})
+        graph=relabelled(facebook_like(120, seed=1)),
+        k=8,
+        required=frozenset({"u5", "u7", "u9", "u11"}),
     )
     for engine in ("compiled", "reference"):
         solver = CBASND(budget=240, m=6, stages=4, engine=engine)
         result = solver.solve(problem, rng=1)
         print(solver.last_warm_state.starts, sorted(result.members),
               repr(result.willingness))
+    # WASO-dis: the frontier is every allowed node, filled in candidate
+    # order rather than set order.
+    problem = WASOProblem(
+        graph=relabelled(facebook_like(200, seed=4)), k=6, connected=False
+    )
+    for engine in ("compiled", "reference", "vector"):
+        solver = CBASND(budget=200, m=5, stages=3, engine=engine)
+        result = solver.solve(problem, rng=7)
+        print(sorted(result.members), repr(result.willingness))
     """
 )
 
 
 def test_results_do_not_depend_on_hash_seed():
-    """String node ids + required nodes: same result in every process."""
+    """String node ids + required nodes, and string-id WASO-dis on every
+    engine: same result in every process."""
     source = Path(__file__).resolve().parent.parent / "src"
     outputs = []
-    for hash_seed in ("1", "2"):
+    for hash_seed in ("1", "2", "3"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(source))
         child = subprocess.run(
             [sys.executable, "-c", _HASH_SEED_SCRIPT],
@@ -228,9 +243,11 @@ def test_results_do_not_depend_on_hash_seed():
         )
         assert child.returncode == 0, child.stderr
         outputs.append(child.stdout)
-    compiled_line, reference_line = outputs[0].splitlines()
-    assert compiled_line == reference_line
-    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert len(lines) == 5
+    assert lines[0] == lines[1]  # compiled == reference
+    assert lines[2] == lines[3]  # compiled == reference, WASO-dis
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_compiled_solve_call_counts(monkeypatch):
@@ -286,3 +303,38 @@ def test_compiled_solve_call_counts(monkeypatch):
     starts = select_start_nodes(problem, FastWillingnessEvaluator(compiled), 30)
     assert len(starts) == 30
     assert sum(reads) <= 30 + len(required) + len(forbidden)
+
+
+def test_vector_solve_does_not_scale_with_n(monkeypatch):
+    """Exact gates: a default vector CBAS-ND solve never densifies a CE
+    vector or lists the candidates, and its traced allocations stay far
+    below one float64 array per start (m · n · 8 B = 4.8 MB here)."""
+    graph = dblp_like(20_000, seed=1)
+    problem = WASOProblem(graph=graph, k=8)
+    # Per-graph caches (compiled index, numpy views, start order) are
+    # built once per graph, not per solve.
+    CBASND(budget=60, m=4, stages=2, engine="vector").solve(problem, rng=1)
+    calls = Counter()
+
+    def count(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    count(SelectionProbabilities, "_materialize_all")
+    count(WASOProblem, "candidates")
+    solver = CBASND(budget=600, m=30, stages=6, engine="vector")
+    tracemalloc.start()
+    try:
+        result = solver.solve(problem, rng=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.members) == 8
+    assert result.stats.extra["vector_batch_draws"] == 600
+    assert calls == Counter()
+    assert peak <= 3_000_000

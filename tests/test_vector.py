@@ -11,8 +11,14 @@ Contract under test (see ``repro/vector/``):
   value, it only re-orders the same additions);
 * within the engine, seeded runs are bit-reproducible — serial, and
   stage-sharded at any worker count (positional Philox randomness);
-* the numpy-backed :class:`SelectionProbabilities` refit is
-  IEEE-identical to the list backend.
+* CE vectors have one sparse form (a shared ``base`` plus the touched
+  slots) for every engine; its refit values are IEEE-identical to an
+  eager dense numpy pass;
+* the batch kernel's storage (node-id or compact status columns, CE
+  weights gathered once per frontier entry, chunk packing) never
+  changes results: ``test_vector_golden.py`` pins them against recorded
+  values, and ``TestKernelColumns`` checks the two column layouts
+  against each other.
 
 The differential suite sweeps every scenario transformation (couples /
 foes / themed / filters / separate-groups) through all three randomized
@@ -333,105 +339,184 @@ class TestVectorDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Numpy-backed SelectionProbabilities
+# Status column layouts
 # ----------------------------------------------------------------------
-class TestNumpyProbabilityBackend:
-    def _pair(self, n=40, k=5):
-        compiled = facebook_like(n, seed=13).compiled()
-        nodes = list(compiled.nodes)
-        plain = SelectionProbabilities(
-            nodes, k, index_of=compiled.index_of, size=compiled.number_of_nodes
+class TestKernelColumns:
+    """Compact status columns and node-id columns draw the same samples."""
+
+    @pytest.mark.parametrize("mode", ["uniform", "ce", "greedy"])
+    def test_layouts_agree(self, monkeypatch, mode):
+        from repro.algorithms.sampling import ExpansionSampler, seed_for_start
+        from repro.graph.generators import dblp_like
+        from repro.vector import kernel
+
+        graph = dblp_like(3000, seed=5)
+        compiled = graph.compiled()
+        nodes = compiled.nodes
+        problem = WASOProblem(
+            graph=graph, k=6, forbidden=frozenset(nodes[10:30])
         )
-        vectorized = SelectionProbabilities(
-            nodes,
+        vector = SelectionProbabilities.for_problem(problem, compiled)
+        rng = random.Random(2)
+        for _ in range(3):
+            counts = {rng.randrange(3000): rng.randrange(1, 3) for _ in range(60)}
+            vector.update_from_counts(counts, 2, smoothing=0.7)
+
+        def draw(min_rows):
+            # MIN_CHUNK_ROWS sets the n-column cutoff: at MAX_CHUNK_CELLS
+            # any chunk whose rows cannot touch every node goes compact.
+            monkeypatch.setattr(kernel, "MIN_CHUNK_ROWS", min_rows)
+            sampler = ExpansionSampler(
+                problem, evaluator_for(graph, "vector")
+            )
+            sampler.vector_key = 9
+            entries = [
+                {
+                    "start_key": i,
+                    "seed": seed_for_start(problem, nodes[start]),
+                    "first_draw": 0,
+                    "count": 4,
+                    "failures": 0,
+                }
+                for i, start in enumerate((0, 500, 1000))
+            ]
+            batches = sampler.draw_batch_vector(
+                entries,
+                mode=mode,
+                weight_rows=[vector.array] * 3 if mode == "ce" else None,
+            )
+            return batches, hasattr(sampler, "_vector_local_of")
+
+        by_node_id, compact = draw(kernel.MIN_CHUNK_ROWS)
+        assert not compact
+        by_column, compact = draw(kernel.MAX_CHUNK_CELLS)
+        assert compact
+        assert by_column == by_node_id
+        assert any(sample is not None for batch in by_column for sample in batch)
+
+
+# ----------------------------------------------------------------------
+# The vector engine's SelectionProbabilities
+# ----------------------------------------------------------------------
+class _EagerOracle:
+    """Eager dense numpy arithmetic of one refit round: every slot times
+    ``keep``, then Eq. (4) on the counted slots, movement via ``np.dot``."""
+
+    def __init__(self, vector):
+        self.p = np.asarray(vector.snapshot())
+
+    def round(self, counts, size, smoothing):
+        keep = 1.0 - smoothing
+        old = self.p.copy()
+        self.p *= keep
+        touched_sq = 0.0
+        touched_term = 0.0
+        slot_values = []
+        for slot in sorted(counts):
+            before = float(old[slot])
+            new = smoothing * (counts[slot] / size) + keep * before
+            self.p[slot] = new
+            slot_values.append((slot, new))
+            touched_sq += before * before
+            touched_term += (new - before) ** 2
+        total_sq = float(np.dot(old, old))
+        movement = smoothing * smoothing * (total_sq - touched_sq) + touched_term
+        return ("round", keep, tuple(slot_values)), movement
+
+
+class TestNumpyProbabilityBackend:
+    """The vector engine's CE vectors are the one sparse form; every
+    value equals the eager numpy arithmetic its former dense backend
+    applied."""
+
+    def _vector(self, n=40, k=5):
+        compiled = facebook_like(n, seed=13).compiled()
+        return SelectionProbabilities(
+            list(compiled.nodes),
             k,
             index_of=compiled.index_of,
             size=compiled.number_of_nodes,
-            backend="numpy",
         )
-        return plain, vectorized
-
-    def test_backend_validated(self):
-        with pytest.raises(ValueError, match="backend"):
-            SelectionProbabilities(["a"], 1, backend="torch")
 
     def test_refit_rounds_bit_identical(self):
-        plain, vectorized = self._pair()
+        vector = self._vector()
+        oracle = _EagerOracle(vector)
         rng = random.Random(3)
         for _ in range(6):
             counts = {slot: rng.randrange(1, 4) for slot in rng.sample(range(30), 8)}
-            plain.update_from_counts(counts, 10, smoothing=0.7)
-            vectorized.update_from_counts(counts, 10, smoothing=0.7)
-        assert vectorized.snapshot() == plain.snapshot()
+            vector.update_from_counts(counts, 10, smoothing=0.7)
+            oracle.round(counts, 10, 0.7)
+        assert vector.snapshot() == oracle.p.tolist()
 
     def test_patches_bit_identical_and_plain_floats(self):
-        plain, vectorized = self._pair()
-        patch_a, _ = plain.update_from_counts({3: 2, 7: 1}, 4, smoothing=0.6)
-        patch_b, _ = vectorized.update_from_counts(
-            {3: 2, 7: 1}, 4, smoothing=0.6
-        )
-        assert patch_a == patch_b
-        assert all(type(value) is float for _, value in patch_b[2])
+        vector = self._vector()
+        mirror = vector.replicate()
+        oracle = _EagerOracle(vector)
+        patch, _ = vector.update_from_counts({3: 2, 7: 1}, 4, smoothing=0.6)
+        assert patch == oracle.round({3: 2, 7: 1}, 4, 0.6)[0]
+        assert all(type(value) is float for _, value in patch[2])
+        mirror.apply_round(patch[1], patch[2])
+        assert mirror.snapshot() == vector.snapshot()
 
     def test_movement_path_matches(self):
-        plain, vectorized = self._pair()
-        _, movement_a = plain.update_from_counts(
+        vector = self._vector()
+        oracle = _EagerOracle(vector)
+        _, movement = vector.update_from_counts(
             {1: 3, 9: 1}, 5, smoothing=0.5, compute_movement=True
         )
-        _, movement_b = vectorized.update_from_counts(
-            {1: 3, 9: 1}, 5, smoothing=0.5, compute_movement=True
-        )
-        assert movement_b == pytest.approx(movement_a, rel=1e-12)
-        assert vectorized.snapshot() == plain.snapshot()
+        _, want = oracle.round({1: 3, 9: 1}, 5, 0.5)
+        # np.dot sums Σ old² pairwise; the sparse form sums in slot order.
+        assert movement == pytest.approx(want, rel=1e-12)
+        assert vector.snapshot() == oracle.p.tolist()
 
     def test_replicate_and_restore(self):
-        _, vectorized = self._pair()
-        vectorized.update_from_counts({2: 1}, 2, smoothing=0.4)
-        clone = vectorized.replicate()
-        assert clone.snapshot() == vectorized.snapshot()
+        vector = self._vector()
+        vector.update_from_counts({2: 1}, 2, smoothing=0.4)
+        clone = vector.replicate()
+        assert clone.snapshot() == vector.snapshot()
         clone.update_from_counts({4: 2}, 2, smoothing=0.4)
-        assert clone.snapshot() != vectorized.snapshot()
-        saved = vectorized.snapshot()
-        vectorized.update_from_counts({5: 1}, 1, smoothing=0.9)
-        vectorized.restore(saved)
-        assert vectorized.snapshot() == saved
+        assert clone.snapshot() != vector.snapshot()
+        saved = vector.snapshot()
+        vector.update_from_counts({5: 1}, 1, smoothing=0.9)
+        vector.restore(saved)
+        assert vector.snapshot() == saved
 
     def test_elite_bincount_matches_dict_counts(self):
-        problem = WASOProblem(graph=facebook_like(60, seed=21), k=4)
-        for engine, backend in (("compiled", "list"), ("vector", "numpy")):
-            evaluator = evaluator_for(problem.graph, engine)
-            from repro.algorithms.sampling import ExpansionSampler
+        from repro.algorithms.sampling import ExpansionSampler, Sample
 
-            sampler = ExpansionSampler(problem, evaluator)
-            rng = random.Random(8)
-            start = next(iter(problem.candidates()))
-            samples = [
-                s
-                for s in sampler.draw_batch({start}, rng, 12)
-                if s is not None
-            ]
-            compiled = problem.graph.compiled()
+        problem = WASOProblem(graph=facebook_like(60, seed=21), k=4)
+        sampler = ExpansionSampler(
+            problem, evaluator_for(problem.graph, "vector")
+        )
+        start = next(iter(problem.candidates()))
+        samples = [
+            s
+            for s in sampler.draw_batch({start}, random.Random(8), 12)
+            if s is not None
+        ]
+        assert all(s.indices is not None for s in samples)
+        compiled = problem.graph.compiled()
+
+        def refit(batch):
             vector = SelectionProbabilities(
                 problem.candidates(),
                 problem.k,
                 index_of=compiled.index_of,
                 size=compiled.number_of_nodes,
-                backend=backend,
             )
-            vector.update(samples, rho=0.5, smoothing=0.5)
-            if backend == "numpy":
-                numpy_probs = vector.snapshot()
-            else:
-                list_probs = vector.snapshot()
-        # Same samples (seeded draws are engine-identical on the scalar
-        # path), same Eq. (4) arithmetic, different counting machinery.
-        assert numpy_probs == list_probs
+            vector.update(batch, rho=0.5, smoothing=0.5)
+            return vector.snapshot()
+
+        # Elite membership counted off compiled indices vs translated
+        # from node ids: same Eq. (4) arithmetic, same values.
+        by_ids = [Sample(s.members, s.willingness) for s in samples]
+        assert refit(samples) == refit(by_ids)
 
     def test_gamma_monotone_and_as_dict(self):
-        _, vectorized = self._pair()
-        assert vectorized.gamma == -math.inf
-        vectorized.observe_stage_gamma(4.0)
-        vectorized.observe_stage_gamma(2.0)
-        assert vectorized.gamma == 4.0
-        probabilities = vectorized.as_dict()
+        vector = self._vector()
+        assert vector.gamma == -math.inf
+        vector.observe_stage_gamma(4.0)
+        vector.observe_stage_gamma(2.0)
+        assert vector.gamma == 4.0
+        probabilities = vector.as_dict()
         assert all(0.0 <= p <= 1.0 for p in probabilities.values())
